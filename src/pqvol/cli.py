@@ -20,7 +20,7 @@ from random import Random
 
 import click
 
-from . import draconian, outerplanar, recurrence, sampling
+from . import __version__, draconian, outerplanar, recurrence, sampling
 from .graphs import (
     Graph,
     build_double,
@@ -115,7 +115,7 @@ def _emit(report: RunReport, as_json: bool) -> None:
 
 
 @click.group()
-@click.version_option(package_name="artifact", prog_name="pqvol")
+@click.version_option(version=__version__, prog_name="pqvol")
 def main() -> None:
     """Exact normalized volumes of graph adjacency polytopes."""
 
@@ -146,7 +146,7 @@ def _trace_dict(node: recurrence.TraceNode) -> dict:
     help="auto applies recurrences; enumerate is pure oracle mode",
 )
 @click.option("--trace", "show_trace", is_flag=True, help="print the derivation tree")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="seed for random graph families")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
@@ -178,7 +178,7 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
 
 @main.command("enum")
 @click.argument("graph_spec")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="seed for random graph families")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_enum(graph_spec, workers, seed, as_json) -> None:
@@ -463,7 +463,7 @@ _SCANS = {"wheels": _scan_wheels, "outerplanar-conjecture": _scan_outerplanar}
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--samples", type=int, default=50, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="append records to this file")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_scan(target, n_max, seed, samples, out, workers, as_json) -> None:
     """Compare a conjectured formula against the enumeration oracle."""

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import BipartiteDouble, Graph, build_double, connected_components, from_edge_list
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DraconianSequence",
@@ -151,6 +153,8 @@ def _popcount_table(d: BipartiteDouble) -> np.ndarray:
     """|union of neighborhoods| for every subset bitmask, cached per double."""
     table = d._cache.get("popcount_table")
     if table is None:
+        import numpy as np
+
         n = d.n
         union = np.zeros(1 << n, dtype=np.uint32)
         for b in range(n):
@@ -184,6 +188,9 @@ def _subset_condition(d: BipartiteDouble, seq: tuple[int, ...]) -> bool:
     """All nonempty subsets satisfy the strict inequality; sum already checked."""
     n = d.n
     if n <= _VECTOR_LIMIT:
+        # numpy loads on this dense path only, so the CLI starts without it
+        import numpy as np
+
         bounds = _popcount_table(d)
         sums = np.zeros(1 << n, dtype=np.int16)
         for b in range(n):

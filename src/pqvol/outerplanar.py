@@ -1,11 +1,14 @@
 """Outerplanarity recognition and the outer-face volume formula.
 
-A graph is outerplanar exactly when it contains no subdivision of K_4 or
-K_{2,3}; recognition searches for those subdivisions directly. For a
-2-connected outerplanar graph the Hamiltonian outer cycle is unique, its
-remaining edges are non-crossing chords, and the chords cut the polygon into
-bounded faces. Each face F contributes its boundary length as the degree of
-the corresponding extended-weak-dual vertex, and the volume of the block is
+A 2-connected graph on n >= 3 vertices is outerplanar exactly when it has a
+Hamiltonian cycle whose remaining edges, the chords, pairwise do not cross.
+That cycle is then unique, and the chords cut the polygon into bounded faces.
+Recognition builds this certificate in one O(n log n) pass per block (Mitchell
+1979): peel degree-2 vertices, bridging their two neighbors, down to a
+triangle; reinsert them in reverse to obtain the candidate cycle; accept only
+if every cycle edge is an edge of the block and no two chords cross. Each
+bounded face F contributes its boundary length as the degree of the
+corresponding extended-weak-dual vertex, and the volume of the block is
 
     2^(n - |faces| - 1) * product of face boundary lengths.
 
@@ -18,15 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .draconian import ResourceCapExceeded
-from .graphs import (
-    Graph,
-    add_edge,
-    block_subgraphs,
-    delete_vertex,
-    is_two_connected,
-    relabel_map_after_delete,
-)
+from .graphs import Graph, block_subgraphs, is_two_connected
 
 __all__ = [
     "Face",
@@ -38,11 +33,6 @@ __all__ = [
     "nvol_outerplanar",
     "outer_structure",
 ]
-
-# Recognition is a backtracking subdivision search, fine at desk scale but
-# not beyond; refuse inputs where the candidate branch sets explode.
-_RECOGNITION_CAP = 32
-
 
 class NotTwoConnectedError(ValueError):
     """The operation requires a 2-connected input."""
@@ -97,139 +87,132 @@ class OuterStructure:
         return "\n".join(lines) + "\n"
 
 
-def _disjoint_paths(g: Graph, pairs, branch: frozenset[int]) -> bool:
-    """Can the terminal pairs be joined by internally disjoint paths?
+def _peel_cycle(block: Graph) -> list[int] | None:
+    """Candidate outer cycle of a block on >= 3 vertices, or None.
 
-    Internal vertices must avoid the branch set and each other; endpoints are
-    shared freely. Plain backtracking over the pairs.
+    Peels degree-2 vertices, bridging their two neighbors, down to a triangle,
+    then reinserts each peeled vertex next to its first neighbor, on the side
+    of the second one. In a 2-connected outerplanar graph the neighbors of a
+    peeled vertex are consecutive on the smaller graph's outer cycle, so the
+    peel always reaches a triangle and the result is the outer cycle; None
+    therefore means the block is not outerplanar. For other blocks a returned
+    cycle may use non-edges or leave crossing chords, so the caller checks it.
     """
-    adj = {v: sorted(g.neighbors(v)) for v in range(1, g.n + 1)}
-    used = set()
-
-    def connect(k: int) -> bool:
-        if k == len(pairs):
-            return True
-        s, t = pairs[k]
-
-        def walk(v: int, taken: list[int]) -> bool:
-            for w in adj[v]:
-                if w == t:
-                    if connect(k + 1):
-                        return True
-                elif w not in branch and w not in used:
-                    used.add(w)
-                    taken.append(w)
-                    if walk(w, taken):
-                        return True
-                    used.discard(w)
-                    taken.pop()
-            return False
-
-        return walk(s, [])
-
-    return connect(0)
-
-
-def _has_k4_subdivision(g: Graph) -> bool:
-    rich = [v for v in range(1, g.n + 1) if g.degree(v) >= 3]
-    for quad in combinations(rich, 4):
-        branch = frozenset(quad)
-        pairs = list(combinations(quad, 2))
-        if _disjoint_paths(g, pairs, branch):
-            return True
-    return False
-
-
-def _has_k23_subdivision(g: Graph) -> bool:
-    rich = [v for v in range(1, g.n + 1) if g.degree(v) >= 3]
-    mid_pool = [v for v in range(1, g.n + 1) if g.degree(v) >= 2]
-    for a, b in combinations(rich, 2):
-        for mids in combinations([v for v in mid_pool if v != a and v != b], 3):
-            branch = frozenset((a, b, *mids))
-            pairs = [(a, x) for x in mids] + [(b, x) for x in mids]
-            if _disjoint_paths(g, pairs, branch):
-                return True
-    return False
-
-
-def is_outerplanar(g: Graph) -> bool:
-    """True iff no subgraph is a subdivision of K_4 or K_{2,3}.
-
-    Any such subdivision is 2-connected, so each block is searched on its
-    own; blocks violating the outerplanar edge bound m <= 2n - 3 fail fast
-    (they necessarily contain a forbidden subdivision).
-    """
-    if g.n > _RECOGNITION_CAP:
-        raise ResourceCapExceeded(
-            f"outerplanarity search on {g.n} vertices exceeds the cap of "
-            f"{_RECOGNITION_CAP}"
-        )
-    for block in block_subgraphs(g):
-        if block.n < 4:
+    n = block.n
+    adj = [set()] + [set(block.neighbors(v)) for v in range(1, n + 1)]
+    ready = [v for v in range(1, n + 1) if len(adj[v]) == 2]
+    peeled: list[tuple[int, int, int]] = []
+    while n - len(peeled) > 3 and ready:
+        x = ready.pop()
+        if len(adj[x]) != 2:  # degree fell since it was queued, or peeled
             continue
-        if block.m > 2 * block.n - 3:
-            return False
-        if _has_k4_subdivision(block) or _has_k23_subdivision(block):
-            return False
-    return True
+        v, w = adj[x]
+        adj[x] = set()
+        adj[v].discard(x)
+        adj[w].discard(x)
+        if w in adj[v]:
+            ready.extend(y for y in (v, w) if len(adj[y]) == 2)
+        else:
+            adj[v].add(w)
+            adj[w].add(v)
+        peeled.append((x, v, w))
+    rest = [v for v in range(1, n + 1) if adj[v]]
+    if n - len(peeled) != 3 or len(rest) != 3 or any(len(adj[v]) != 2 for v in rest):
+        return None
+    a, b, c = rest
+    nxt = [0] * (n + 1)
+    nxt[a], nxt[b], nxt[c] = b, c, a
+    for x, v, w in reversed(peeled):
+        if nxt[w] == v:
+            v, w = w, v
+        nxt[v], nxt[x] = x, nxt[v]
+    cycle = [1]
+    while len(cycle) < n:
+        cycle.append(nxt[cycle[-1]])
+    return cycle
 
 
-def _recover_cycle(g: Graph) -> tuple[int, ...]:
-    """Unique Hamiltonian cycle of a 2-connected outerplanar graph.
-
-    Peel a degree-2 vertex, bridge its neighbors, recurse, and reinsert; the
-    neighbors of the peeled vertex are consecutive on the smaller cycle.
-    """
-    if g.n == 3:
-        return (1, 2, 3)
-    x = next(v for v in range(1, g.n + 1) if g.degree(v) == 2)
-    v, w = sorted(g.neighbors(x))
-    smaller = delete_vertex(g, x)
-    remap = relabel_map_after_delete(g.n, x)
-    pair = (remap[v], remap[w])
-    if not smaller.has_edge(*pair):
-        smaller = add_edge(smaller, pair)
-    inner = _recover_cycle(smaller)
-    back = {new: old for old, new in remap.items()}
-    cycle = [back[y] for y in inner]
-    i = cycle.index(v)
-    j = cycle.index(w)
-    if (i + 1) % len(cycle) == j:
-        cycle.insert(j, x)
-    elif (j + 1) % len(cycle) == i:
-        cycle.insert(i, x)
-    else:
-        raise RuntimeError("peeled neighbors not adjacent on recovered cycle")
-    return tuple(cycle)
-
-
-def _canonical_rotation(cycle: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical_rotation(cycle: list[int]) -> tuple[int, ...]:
     """Start at vertex 1 and walk toward its smaller cycle neighbor."""
-    k = len(cycle)
-    i = cycle.index(1)
-    forward = tuple(cycle[(i + d) % k] for d in range(k))
-    backward = tuple(cycle[(i - d) % k] for d in range(k))
-    return forward if forward[1] < backward[1] else backward
-
-
-def _split_regions(region: tuple[int, ...], edges: frozenset) -> list[tuple[int, ...]]:
-    k = len(region)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            a, b = region[i], region[j]
-            e = (a, b) if a < b else (b, a)
-            if e in edges:
-                left = region[i : j + 1]
-                right = region[j:] + region[: i + 1]
-                return _split_regions(left, edges) + _split_regions(right, edges)
-    return [region]
+    if cycle[1] > cycle[-1]:
+        cycle = cycle[:1] + cycle[:0:-1]
+    return tuple(cycle)
 
 
 def _face_canonical(face: tuple[int, ...]) -> tuple[int, ...]:
     i = face.index(min(face))
     return face[i:] + face[:i]
+
+
+def _structure(block: Graph) -> OuterStructure | None:
+    """The recognition pass: outer structure of a 2-connected block, or None.
+
+    The block must have n >= 3 vertices. The peeled cycle is accepted only as
+    a certificate: every cycle edge must be an edge of the block and no two
+    chords may cross. Faces are traced in one sweep along the cycle with a
+    stack of open chords, which is also the crossing test: every chord that
+    closes at position p must be the innermost open one.
+    """
+    n = block.n
+    if block.m > 2 * n - 3:
+        return None
+    peeled = _peel_cycle(block)
+    if peeled is None:
+        return None
+    cycle = _canonical_rotation(peeled)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(cycle):
+        pos[v] = i
+    cycle_edges = set()
+    for i in range(n):
+        a, b = cycle[i], cycle[(i + 1) % n]
+        cycle_edges.add((a, b) if a < b else (b, a))
+    if not cycle_edges <= block.edges:
+        return None
+    chords = tuple(sorted(block.edges - cycle_edges))
+
+    # chords as position intervals: count where they close, and open them
+    # outermost first so that each closes as the innermost open one
+    opens: list[list[int]] = [[] for _ in range(n)]
+    closes = [0] * n
+    for a, b in chords:
+        i, j = sorted((pos[a], pos[b]))
+        opens[i].append(j)
+        closes[j] += 1
+    regions: list[list[int]] = []
+    stack: list[tuple[int, list[int]]] = [(n, [])]  # (closing position, region)
+    for p in range(n):
+        stack[-1][1].append(p)
+        for _ in range(closes[p]):
+            end, region = stack.pop()
+            if end != p:
+                return None
+            regions.append(region)
+            stack[-1][1].append(p)
+        for j in sorted(opens[p], reverse=True):
+            stack.append((j, [p]))
+    regions.append(stack.pop()[1])
+
+    faces = []
+    for region in regions:
+        k = len(region)
+        outer = sum(region[t + 1] - region[t] == 1 for t in range(k - 1))
+        outer += region[-1] - region[0] == n - 1
+        verts = _face_canonical(tuple(cycle[q] for q in region))
+        faces.append(Face(vertices=verts, boundary_length=k, outer_edges=outer))
+    faces.sort(key=lambda f: f.vertices)
+    return OuterStructure(outer_cycle=cycle, chords=chords, faces=tuple(faces))
+
+
+def is_outerplanar(g: Graph) -> bool:
+    """True iff every block has an outer cycle with non-crossing chords.
+
+    A block on n >= 3 vertices is outerplanar exactly when it has a
+    Hamiltonian cycle whose remaining edges pairwise do not cross; the
+    recognition pass builds that certificate in O(n log n) time or reports that
+    none exists. Single-edge blocks are always outerplanar.
+    """
+    return all(block.n < 3 or _structure(block) is not None for block in block_subgraphs(g))
 
 
 def outer_structure(g: Graph) -> OuterStructure:
@@ -239,31 +222,9 @@ def outer_structure(g: Graph) -> OuterStructure:
             f"outer structure needs a 2-connected graph on >= 3 vertices, got "
             f"n={g.n}, m={g.m}"
         )
-    if not is_outerplanar(g):
+    structure = _structure(g)
+    if structure is None:
         raise NotOuterplanarError("graph contains a K_4 or K_{2,3} subdivision")
-    cycle = _canonical_rotation(_recover_cycle(g))
-    n = g.n
-    cycle_edges = set()
-    for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
-        cycle_edges.add((a, b) if a < b else (b, a))
-    chords = tuple(sorted(e for e in g.edges if e not in cycle_edges))
-
-    faces = []
-    for region in _split_regions(cycle, g.edges):
-        verts = _face_canonical(region)
-        k = len(verts)
-        outer = 0
-        for i in range(k):
-            a, b = verts[i], verts[(i + 1) % k]
-            e = (a, b) if a < b else (b, a)
-            if e in cycle_edges:
-                outer += 1
-        faces.append(Face(vertices=verts, boundary_length=k, outer_edges=outer))
-    faces.sort(key=lambda f: f.vertices)
-
-    structure = OuterStructure(outer_cycle=cycle, chords=chords, faces=tuple(faces))
-    structure.validate()
     return structure
 
 
@@ -277,10 +238,14 @@ def ewd_degrees(s: OuterStructure) -> list[int]:
     return [f.boundary_length for f in s.faces]
 
 
-def _block_value(block: Graph) -> tuple[int, bool]:
+def _block_value(block: Graph) -> tuple[int, bool] | None:
+    """Face-product value and conjectural flag of a block, or None if the
+    block is not outerplanar."""
     if block.n == 2:
         return 2, False
-    s = outer_structure(block)
+    s = _structure(block)
+    if s is None:
+        return None
     value = 1 << (block.n - len(s.faces) - 1)
     for d in ewd_degrees(s):
         value *= d
@@ -295,12 +260,12 @@ def nvol_outerplanar(g: Graph) -> tuple[int, bool]:
     (the formula's exponent n - |faces| - 1 covers it uniformly). The result
     is flagged conjectural when any bounded face misses the outer cycle.
     """
-    if not is_outerplanar(g):
-        raise NotOuterplanarError("graph contains a K_4 or K_{2,3} subdivision")
     value = 1
     conjectural = False
     for block in block_subgraphs(g):
-        bval, bconj = _block_value(block)
-        value *= bval
-        conjectural = conjectural or bconj
+        result = _block_value(block)
+        if result is None:
+            raise NotOuterplanarError("graph contains a K_4 or K_{2,3} subdivision")
+        value *= result[0]
+        conjectural = conjectural or result[1]
     return value, conjectural

@@ -491,13 +491,9 @@ def _plan_uncached(g: Graph, workers: int, config) -> TraceNode:
     if _match_k2m(g):
         return _leaf(g, "closed-form:k2m", nvol_k2m(g.n), f"n={g.n}")
 
-    try:
-        if outerplanar.is_outerplanar(g):
-            value, conjectural = outerplanar.nvol_outerplanar(g)
-            if not conjectural:
-                return _leaf(g, "outerplanar-formula", value)
-    except draconian.ResourceCapExceeded:
-        pass
+    formula = outerplanar._block_value(g)  # (value, conjectural), or None
+    if formula is not None and not formula[1]:
+        return _leaf(g, "outerplanar-formula", formula[0])
 
     move = _reverse_move(g)
     if move is not None:

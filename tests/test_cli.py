@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from pqvol import cli
+from pqvol import cli, draconian
 from pqvol.graphs import generate, write_edge_list
 
 
@@ -74,6 +74,22 @@ def test_nvol_seed_selects_random_family_instance(runner):
 def test_parse_failures_exit_2(runner, spec):
     result = runner.invoke(cli.main, ["nvol", spec])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["nvol", "cycle:5"], ["enum", "path:3"], ["scan", "wheels", "--n-max", "3", "--samples", "1"]],
+)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(runner, monkeypatch, args, workers):
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a rejected --workers value must not start a pool")
+
+    monkeypatch.setattr(draconian, "ProcessPoolExecutor", no_pool)
+    result = runner.invoke(cli.main, [*args, "--workers", workers])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "Invalid value for '--workers'" in result.output
 
 
 def test_resource_cap_exits_3(runner):

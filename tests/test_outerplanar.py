@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
-from pqvol.draconian import ResourceCapExceeded, count
+from pqvol.draconian import count
 from pqvol.graphs import (
     add_edge,
     from_edge_list,
     generate,
     is_two_connected,
+    permute_vertices,
+    subdivide,
 )
 from pqvol.outerplanar import (
     NotOuterplanarError,
@@ -18,7 +22,7 @@ from pqvol.outerplanar import (
     nvol_outerplanar,
     outer_structure,
 )
-from pqvol.recurrence import nvol_cycle
+from pqvol.recurrence import nvol, nvol_cycle
 
 from conftest import connected_catalog, graph_to_nx
 
@@ -55,8 +59,6 @@ def test_is_outerplanar_named_cases(g, expected):
 
 
 def test_subdivided_obstructions_are_still_rejected():
-    from pqvol.graphs import subdivide
-
     k4 = generate("complete", 4)
     assert not is_outerplanar(subdivide(subdivide(k4, (1, 2)), (3, 4)))
     k23 = generate("complete_bipartite", 2, 3)
@@ -68,9 +70,44 @@ def test_is_outerplanar_agrees_with_planarity_oracle():
         assert is_outerplanar(g) == nx_is_outerplanar(g), g.sorted_edges
 
 
-def test_recognition_cap():
-    with pytest.raises(ResourceCapExceeded):
-        is_outerplanar(generate("cycle", 33))
+def test_is_outerplanar_agrees_with_oracle_on_relabelled_samples():
+    # Larger than the catalog, so the peel runs deep. Extra edges, some of
+    # them subdivided, reach the edge bound, a peel that gets stuck, and a
+    # candidate cycle that fails the certificate.
+    rng = random.Random(4051)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        g = generate("random_outerplanar", n, seed=rng.getrandbits(63))
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(range(1, g.n + 1), 2)
+            if not g.has_edge(a, b):
+                g = add_edge(g, (a, b))
+                if rng.random() < 0.5:
+                    g = subdivide(g, (a, b))
+        perm = rng.sample(range(1, g.n + 1), g.n)
+        g = permute_vertices(g, dict(zip(range(1, g.n + 1), perm)))
+        verdict = is_outerplanar(g)
+        assert verdict == nx_is_outerplanar(g), g.sorted_edges
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_recognition_has_no_size_cap():
+    assert is_outerplanar(generate("cycle", 33))
+
+    n = 1500
+    fan = from_edge_list(n, [*generate("cycle", n).edges, *((1, k) for k in range(3, n))])
+    s = outer_structure(fan)
+    assert s.outer_cycle == tuple(range(1, n + 1))
+    assert len(s.chords) == n - 3
+    assert ewd_degrees(s) == [3] * (n - 2)
+
+    g = generate("random_outerplanar", 600, seed=3)
+    result = nvol(g)
+    assert result.trace.rule == "outerplanar-formula"
+    assert result.trace.children == ()
+    assert (result.value, False) == nvol_outerplanar(g)
 
 
 def test_outer_structure_requires_two_connected():
