@@ -46,7 +46,6 @@ from .recurrence import (
     nvol_cycle,
     nvol_forest,
     nvol_k2m,
-    product_rules,
     stirling_identity_check,
     subdivision_step,
     triangle_step,
@@ -86,7 +85,6 @@ __all__ = [
     "nvol_k2m",
     "nvol_outerplanar",
     "outer_structure",
-    "product_rules",
     "read_edge_list",
     "stirling_identity_check",
     "subdivision_step",

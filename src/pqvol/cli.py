@@ -235,15 +235,6 @@ def _suite_recurrences(n_max: int, seed: int, samples: int):
     return cases
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _suite_checkers(n_max: int, seed: int, samples: int):
     cases = []
     for n in range(1, 5):
@@ -256,7 +247,7 @@ def _suite_checkers(n_max: int, seed: int, samples: int):
             if len(connected_components(g)) != 1:
                 continue
             d = build_double(g)
-            for comp in _compositions(n - 1, n):
+            for comp in sampling.compositions(n - 1, n):
                 checked += 1
                 if draconian.check_subset(d, comp) != draconian.check_flow(d, comp):
                     ok = False
@@ -278,8 +269,6 @@ def _suite_checkers(n_max: int, seed: int, samples: int):
 
 
 def _suite_formulas(n_max: int, seed: int, samples: int):
-    from .graphs import from_edge_list
-
     rng = Random(seed)
     cases = []
     for _ in range(samples):

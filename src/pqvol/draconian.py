@@ -14,6 +14,7 @@ the test suite enforces this.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -67,21 +68,16 @@ class DraconianSequence:
 
 @dataclass(frozen=True)
 class EnumerationConfig:
-    """Resource and strategy knobs for the enumerator.
+    """Resource cap for the enumerator.
 
-    max_n caps the vertex count accepted by enumerate/count; leaf_checker
-    selects the decider applied to fully assigned sequences ("flow" or
-    "subset").
+    max_n caps the vertex count accepted by enumerate_draconian and count.
     """
 
     max_n: int = 18
-    leaf_checker: str = "flow"
 
     def __post_init__(self) -> None:
         if self.max_n < 1:
             raise ValueError(f"max_n must be positive, got {self.max_n}")
-        if self.leaf_checker not in ("flow", "subset"):
-            raise ValueError(f"unknown leaf checker {self.leaf_checker!r}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +331,7 @@ def check_flow(double: BipartiteDouble | Graph, a) -> bool:
 # Enumeration
 
 
-def _dfs_run(d: BipartiteDouble, prefix, leaf_checker: str, collect: bool):
+def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     """Depth-first enumeration of draconian sequences extending prefix.
 
     Returns the lexicographic list of full sequences (collect=True) or their
@@ -374,13 +370,6 @@ def _dfs_run(d: BipartiteDouble, prefix, leaf_checker: str, collect: bool):
     out: list[tuple[int, ...]] = []
     counter = 0
 
-    if leaf_checker == "subset":
-        def leaf_ok() -> bool:
-            return _subset_condition(d, tuple(current[1:]))
-    else:
-        def leaf_ok() -> bool:
-            return _all_reach_free(nbrs, match_right, n)
-
     # Seed the fixed prefix, mirroring the in-loop pruning conditions; any
     # failure means no completion exists.
     k = len(prefix)
@@ -407,7 +396,7 @@ def _dfs_run(d: BipartiteDouble, prefix, leaf_checker: str, collect: bool):
     def dfs(t: int, acc: int) -> None:
         nonlocal counter
         if t > n:
-            if leaf_ok():
+            if _all_reach_free(nbrs, match_right, n):
                 if collect:
                     out.append(tuple(current[1:]))
                 else:
@@ -460,24 +449,30 @@ def _shard_prefixes(d: BipartiteDouble, workers: int) -> list[tuple[int, ...]]:
     return [(v1, v2) for v1 in range(cap1 + 1) for v2 in range(cap2 + 1)]
 
 
-def _shard_enumerate_task(args) -> list[tuple[int, ...]]:
-    n, edges, prefix, leaf_checker = args
-    d = build_double(from_edge_list(n, edges))
-    return _dfs_run(d, prefix, leaf_checker, collect=True)
+def _shard_task(args):
+    n, edges, prefix, collect = args
+    return _dfs_run(build_double(from_edge_list(n, edges)), prefix, collect)
 
 
-def _shard_count_task(args) -> int:
-    n, edges, prefix, leaf_checker = args
-    d = build_double(from_edge_list(n, edges))
-    return _dfs_run(d, prefix, leaf_checker, collect=False)
-
-
-def _guard(g: Graph, cfg: EnumerationConfig) -> None:
+def _run(g: Graph, workers: int, config: EnumerationConfig | None, collect: bool):
+    """Draconian sequences of g in lexicographic order (collect=True) or their
+    number (collect=False), enumerated serially or over a process pool."""
+    cfg = config or EnumerationConfig()
+    if len(connected_components(g)) != 1:
+        return [] if collect else 0
     if g.n > cfg.max_n:
         raise ResourceCapExceeded(
             f"enumeration on {g.n} vertices exceeds the cap of {cfg.max_n}; "
             "raise EnumerationConfig.max_n to proceed"
         )
+    d = build_double(g)
+    if workers <= 1:
+        return _dfs_run(d, (), collect)
+    jobs = [(g.n, g.sorted_edges, p, collect) for p in _shard_prefixes(d, workers)]
+    # map yields results in job order whatever the pool size
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
+        parts = list(pool.map(_shard_task, jobs))
+    return [s for part in parts for s in part] if collect else sum(parts)
 
 
 def enumerate_draconian(
@@ -488,38 +483,10 @@ def enumerate_draconian(
     Disconnected graphs have none: each component's vertex set forces its
     partial sum below the component size, so the totals cannot reach n - 1.
     """
-    cfg = config or EnumerationConfig()
-    if len(connected_components(g)) != 1:
-        return DraconianSet(graph=g, sequences=(), count=0)
-    _guard(g, cfg)
-    d = build_double(g)
-    if workers <= 1:
-        raw = _dfs_run(d, (), cfg.leaf_checker, collect=True)
-    else:
-        jobs = [
-            (g.n, g.sorted_edges, p, cfg.leaf_checker) for p in _shard_prefixes(d, workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_shard_enumerate_task, jobs))
-        raw = [s for part in parts for s in part]
-    seqs = tuple(DraconianSequence(s) for s in raw)
+    seqs = tuple(DraconianSequence(s) for s in _run(g, workers, config, collect=True))
     return DraconianSet(graph=g, sequences=seqs, count=len(seqs))
 
 
 def count(g: Graph, workers: int = 1, config: EnumerationConfig | None = None) -> int:
     """|enumerate_draconian(g)| without materializing the sequences."""
-    cfg = config or EnumerationConfig()
-    if len(connected_components(g)) != 1:
-        return 0
-    _guard(g, cfg)
-    d = build_double(g)
-    if workers <= 1:
-        return _dfs_run(d, (), cfg.leaf_checker, collect=False)
-    jobs = [(g.n, g.sorted_edges, p, cfg.leaf_checker) for p in _shard_prefixes(d, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_shard_count_task, jobs))
-
-
-# Public name for the enumeration entry point; the qualified name above
-# avoids shadowing the builtin inside this module.
-enumerate = enumerate_draconian
+    return _run(g, workers, config, collect=False)

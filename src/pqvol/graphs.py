@@ -1,9 +1,8 @@
-"""Simple graphs, their bipartite doubles, and polytope vertex maps.
+"""Simple graphs, their bipartite doubles, generators, and block structure.
 
 Vertices are labeled 1..n throughout. Edges are unordered pairs stored as
 sorted tuples, so every operation that returns a graph returns one with a
-normalized edge set. Lattice points are plain integer tuples; their length is
-their ambient dimension.
+normalized edge set.
 """
 
 from __future__ import annotations
@@ -12,10 +11,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Iterable
 
 Edge = tuple[int, int]
-LatticePoint = tuple[int, ...]
 
 
 def _normalize_edge(e: Iterable[int]) -> Edge:
@@ -512,62 +510,7 @@ def permute_vertices(g: Graph, perm: dict[int, int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# two-terminal (series-parallel) composition
-
-
-@dataclass(frozen=True)
-class TwoTerminal:
-    """A graph with distinguished source and sink terminals."""
-
-    graph: Graph
-    source: int
-    sink: int
-
-    def __post_init__(self) -> None:
-        self.graph._check_vertex(self.source)
-        self.graph._check_vertex(self.sink)
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-
-
-def two_terminal_edge() -> TwoTerminal:
-    return TwoTerminal(from_edge_list(2, [(1, 2)]), 1, 2)
-
-
-def sp_compose(kind: Literal["series", "parallel"], a: TwoTerminal, b: TwoTerminal) -> TwoTerminal:
-    """Series or parallel composition of two-terminal graphs.
-
-    Series identifies a.sink with b.source; parallel identifies both terminal
-    pairs. b's interior vertices are appended after a's in label order.
-    Duplicate edges created by parallel composition collapse (the polytope is
-    unchanged by repeated edges).
-    """
-    if kind == "series":
-        glued = {b.source: a.sink}
-    elif kind == "parallel":
-        glued = {b.source: a.source, b.sink: a.sink}
-    else:
-        raise ValueError(f"kind must be 'series' or 'parallel', got {kind!r}")
-    remap: dict[int, int] = dict(glued)
-    nxt = a.graph.n + 1
-    for v in range(1, b.graph.n + 1):
-        if v not in remap:
-            remap[v] = nxt
-            nxt += 1
-    edges = set(a.graph.edges)
-    for u, v in b.graph.edges:
-        uu, vv = remap[u], remap[v]
-        if uu == vv:
-            raise ValueError("composition would create a self-loop")
-        edges.add(_normalize_edge((uu, vv)))
-    graph = Graph(nxt - 1, frozenset(edges))
-    if kind == "series":
-        return TwoTerminal(graph, a.source, remap[b.sink])
-    return TwoTerminal(graph, a.source, a.sink)
-
-
-# ---------------------------------------------------------------------------
-# bipartite double cover D(G) and polytope vertex maps
+# bipartite double cover D(G)
 
 
 @dataclass(frozen=True)
@@ -616,38 +559,3 @@ def build_double(g: Graph) -> BipartiteDouble:
         masks[u - 1] |= 1 << (v - 1)
         masks[v - 1] |= 1 << (u - 1)
     return BipartiteDouble(g.n, tuple(masks))
-
-
-def vertices_pq(g: Graph) -> tuple[LatticePoint, ...]:
-    """Vertices (e_i, e_j) of the adjacency polytope, for i = j or ij an edge.
-
-    Points live in R^{2n}; ordered pairs are sorted, so the list length is
-    n + 2m.
-    """
-    pairs = [(i, i) for i in range(1, g.n + 1)]
-    for u, v in g.edges:
-        pairs.append((u, v))
-        pairs.append((v, u))
-    pairs.sort()
-    out = []
-    for i, j in pairs:
-        coords = [0] * (2 * g.n)
-        coords[i - 1] += 1
-        coords[g.n + j - 1] += 1
-        out.append(tuple(coords))
-    return tuple(out)
-
-
-def vertices_root(d: BipartiteDouble) -> tuple[LatticePoint, ...]:
-    """Root-polytope vertices e_i - e_jbar of D(G), same order as vertices_pq.
-
-    Identifying e_jbar with -e_{n+j} carries these to the adjacency polytope
-    vertices, which is the unimodular equivalence the volume count rests on.
-    """
-    out = []
-    for i, j in d.edges():
-        coords = [0] * (2 * d.n)
-        coords[i - 1] = 1
-        coords[d.n + j - 1] = -1
-        out.append(tuple(coords))
-    return tuple(out)

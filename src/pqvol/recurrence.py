@@ -10,7 +10,7 @@ enumeration. Every result carries a derivation trace that can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from . import draconian, outerplanar
 from .graphs import (
@@ -40,7 +40,6 @@ __all__ = [
     "nvol_cycle",
     "nvol_forest",
     "nvol_k2m",
-    "product_rules",
     "replay_trace",
     "serialize_trace",
     "stirling2",
@@ -354,45 +353,54 @@ def serialize_trace(node: TraceNode, indent: int = 0) -> str:
     return line + "".join(serialize_trace(c, indent + 1) for c in node.children)
 
 
+def _combine(rule: str, values: list[int]) -> int:
+    """Value of a node from its children's values, by the node's rule."""
+    if rule in ("component-product", "block-product"):
+        return prod(values)
+    if rule == "reverse-subdivision":
+        return 2 * values[0] + values[1]
+    if rule == "reverse-triangle":
+        return 3 * values[0]
+    raise ValueError(f"unknown combination rule {rule!r}")
+
+
 def replay_trace(node: TraceNode) -> int:
-    """Recompute the value from the leaves; raises on arithmetic mismatch."""
-    if not node.children:
-        return node.value
-    parts = [replay_trace(c) for c in node.children]
-    if node.rule in ("component-product", "block-product"):
-        value = 1
-        for p in parts:
-            value *= p
-    elif node.rule == "reverse-subdivision":
-        value = 2 * parts[0] + parts[1]
-    elif node.rule == "reverse-triangle":
-        value = 3 * parts[0]
-    else:
-        raise ValueError(f"unknown combination rule {node.rule!r}")
-    if value != node.value:
-        raise ValueError(
-            f"trace mismatch at {node.rule} {node.fingerprint}: "
-            f"stored {node.value}, replayed {value}"
-        )
-    return value
+    """Recompute the value from the leaves; raises on arithmetic mismatch.
+
+    Memo sharing makes a trace a DAG, so each distinct node is replayed once,
+    after its children, from an explicit stack.
+    """
+    replayed: dict[int, int] = {}
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if id(top) in replayed:
+            stack.pop()
+            continue
+        pending = [c for c in top.children if id(c) not in replayed]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        value = top.value
+        if top.children:
+            value = _combine(top.rule, [replayed[id(c)] for c in top.children])
+            if value != top.value:
+                raise ValueError(
+                    f"trace mismatch at {top.rule} {top.fingerprint}: "
+                    f"stored {top.value}, replayed {value}"
+                )
+        replayed[id(top)] = value
+    return replayed[id(node)]
 
 
-_MEMO: dict[tuple[int, tuple[tuple[int, int], ...]], TraceNode] = {}
+# Keyed by (oracle mode, n, sorted edges), so the two strategies never share
+# entries.
+_MEMO: dict[tuple[bool, int, tuple[tuple[int, int], ...]], TraceNode] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
-
-
-def _leaf(g: Graph, rule: str, value: int, detail: str = "") -> TraceNode:
-    return TraceNode(rule, graph_fingerprint(g), g.n, g.m, value, detail)
-
-
-def _product_node(g: Graph, rule: str, children: list[TraceNode]) -> TraceNode:
-    value = 1
-    for c in children:
-        value *= c.value
-    return TraceNode(rule, graph_fingerprint(g), g.n, g.m, value, "", tuple(children))
 
 
 def _match_cycle(g: Graph) -> bool:
@@ -400,18 +408,14 @@ def _match_cycle(g: Graph) -> bool:
 
 
 def _match_complete_minus_matching(g: Graph) -> int | None:
-    """Number of removed matching edges, or None if the pattern fails."""
-    if g.n <= 2:
+    """Number of removed matching edges, or None if the pattern fails.
+
+    The missing edges form a matching exactly when no vertex misses two of
+    its possible neighbors, that is when every degree is at least n - 2.
+    """
+    if g.n <= 2 or any(g.degree(v) < g.n - 2 for v in range(1, g.n + 1)):
         return None
-    missing = []
-    for a in range(1, g.n + 1):
-        for b in range(a + 1, g.n + 1):
-            if (a, b) not in g.edges:
-                missing.append((a, b))
-    touched = [v for e in missing for v in e]
-    if len(set(touched)) != len(touched):
-        return None
-    return len(missing)
+    return comb(g.n, 2) - g.m
 
 
 def _match_k2m(g: Graph) -> bool:
@@ -453,97 +457,89 @@ def _reverse_move(g: Graph):
     return None
 
 
-def _plan(g: Graph, workers: int, config) -> TraceNode:
-    key = (g.n, g.sorted_edges)
-    node = _MEMO.get(key)
-    if node is None:
-        node = _plan_uncached(g, workers, config)
-        _MEMO[key] = node
-    return node
+def _step(g: Graph, oracle: bool, workers: int, config):
+    """One planner step on g: (rule, detail, child graphs, leaf value).
 
-
-def _plan_uncached(g: Graph, workers: int, config) -> TraceNode:
+    A leaf has no children and carries its value; any other node gets its
+    value from _combine over its children's values. In oracle mode the step
+    stops after the component split and enumerates.
+    """
     comps = connected_components(g)
     if len(comps) > 1:
-        children = [_plan(induced_subgraph(g, c), workers, config) for c in comps]
-        return _product_node(g, "component-product", children)
+        return "component-product", "", [induced_subgraph(g, c) for c in comps], None
+    if oracle:
+        return "enumeration", "", (), draconian.count(g, workers=workers, config=config)
     if g.n == 1:
-        return _leaf(g, "closed-form:vertex", 1)
+        return "closed-form:vertex", "", (), 1
 
     blocks = block_subgraphs(g)
     if len(blocks) > 1:
-        children = [_plan(b, workers, config) for b in blocks]
-        return _product_node(g, "block-product", children)
+        return "block-product", "", blocks, None
 
     # g is a single 2-connected block from here on.
     if g.n == 2:
-        return _leaf(g, "closed-form:edge", 2)
+        return "closed-form:edge", "", (), 2
     if _match_cycle(g):
-        return _leaf(g, "closed-form:cycle", nvol_cycle(g.n), f"n={g.n}")
+        return "closed-form:cycle", f"n={g.n}", (), nvol_cycle(g.n)
     k = _match_complete_minus_matching(g)
     if k is not None:
-        return _leaf(
-            g,
+        return (
             "closed-form:complete-minus-matching",
-            nvol_complete_minus_matching(g.n, k),
             f"n={g.n} k={k}",
+            (),
+            nvol_complete_minus_matching(g.n, k),
         )
     if _match_k2m(g):
-        return _leaf(g, "closed-form:k2m", nvol_k2m(g.n), f"n={g.n}")
+        return "closed-form:k2m", f"n={g.n}", (), nvol_k2m(g.n)
 
     formula = outerplanar._block_value(g)  # (value, conjectural), or None
     if formula is not None and not formula[1]:
-        return _leaf(g, "outerplanar-formula", formula[0])
+        return "outerplanar-formula", "", (), formula[0]
 
     move = _reverse_move(g)
     if move is not None:
         kind, x, payload = move
         if kind == "triangle":
-            child = _plan(delete_vertex(g, x), workers, config)
-            return TraceNode(
-                "reverse-triangle",
-                graph_fingerprint(g),
-                g.n,
-                g.m,
-                3 * child.value,
-                f"x={x}",
-                (child,),
+            return "reverse-triangle", f"x={x}", (delete_vertex(g, x),), None
+        return "reverse-subdivision", f"x={x}", payload, None
+
+    return "enumeration", "", (), draconian.count(g, workers=workers, config=config)
+
+
+def _plan(g: Graph, oracle: bool, workers: int, config) -> TraceNode:
+    """Trace of g, planned depth-first over an explicit stack of open steps.
+
+    Children are planned left to right, each looked up in _MEMO when its turn
+    comes. The stack, not the interpreter's recursion limit, bounds the
+    depth; a step leaves it once its last child is done.
+    """
+    stack = []  # (memo key, graph, rule, detail, child graphs, child nodes)
+    todo = g
+    while True:
+        key = (oracle, todo.n, todo.sorted_edges)
+        node = _MEMO.get(key)
+        if node is None:
+            rule, detail, kids, value = _step(todo, oracle, workers, config)
+            if kids:
+                stack.append((key, todo, rule, detail, kids, []))
+                todo = kids[0]
+                continue
+            node = _MEMO[key] = TraceNode(
+                rule, graph_fingerprint(todo), todo.n, todo.m, value, detail
             )
-        bridged, smaller = payload
-        child_b = _plan(bridged, workers, config)
-        child_s = _plan(smaller, workers, config)
-        return TraceNode(
-            "reverse-subdivision",
-            graph_fingerprint(g),
-            g.n,
-            g.m,
-            2 * child_b.value + child_s.value,
-            f"x={x}",
-            (child_b, child_s),
-        )
-
-    value = draconian.count(g, workers=workers, config=config)
-    return _leaf(g, "enumeration", value)
-
-
-def _oracle_plan(g: Graph, workers: int, config) -> TraceNode:
-    comps = connected_components(g)
-    if len(comps) > 1:
-        children = []
-        for c in comps:
-            sub = induced_subgraph(g, c)
-            children.append(
-                _leaf(sub, "enumeration", draconian.count(sub, workers=workers, config=config))
+        while stack:
+            key, h, rule, detail, kids, done = stack[-1]
+            done.append(node)
+            if len(done) < len(kids):
+                break
+            stack.pop()
+            value = _combine(rule, [c.value for c in done])
+            node = _MEMO[key] = TraceNode(
+                rule, graph_fingerprint(h), h.n, h.m, value, detail, tuple(done)
             )
-        return _product_node(g, "component-product", children)
-    return _leaf(g, "enumeration", draconian.count(g, workers=workers, config=config))
-
-
-_STRATEGIES = {
-    "auto": "auto",
-    "enumerate": "enumerate-only",
-    "enumerate-only": "enumerate-only",
-}
+        else:
+            return node
+        todo = kids[len(done)]
 
 
 def nvol(
@@ -554,27 +550,11 @@ def nvol(
 ) -> VolumeResult:
     """Exact normalized volume of the adjacency polytope of g, with trace.
 
-    strategy "auto" runs the full planner; "enumerate" (or "enumerate-only")
-    bypasses every rule except the component product and enumerates directly,
-    serving as the oracle mode.
+    strategy "auto" runs the full planner; "enumerate" is the oracle mode: it
+    splits g into connected components and enumerates each one, bypassing
+    every other rule.
     """
-    try:
-        mode = _STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
-    if mode == "auto":
-        node = _plan(g, workers, config)
-    else:
-        node = _oracle_plan(g, workers, config)
+    if strategy not in ("auto", "enumerate"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    node = _plan(g, strategy == "enumerate", workers, config)
     return VolumeResult(value=node.value, trace=node)
-
-
-def product_rules(g: Graph, workers: int = 1) -> VolumeResult:
-    """Explicit component-times-block decomposition with planner leaf values."""
-    comp_nodes = []
-    for c in connected_components(g):
-        sub = induced_subgraph(g, c)
-        block_nodes = [_plan(b, workers, None) for b in block_subgraphs(sub)]
-        comp_nodes.append(_product_node(sub, "block-product", block_nodes))
-    root = _product_node(g, "component-product", comp_nodes)
-    return VolumeResult(value=root.value, trace=root)

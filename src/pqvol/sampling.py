@@ -1,4 +1,4 @@
-"""Seeded random graph and edge samplers for verification runs.
+"""Seeded random graph and edge samplers and other verification helpers.
 
 All sampling flows from a caller-supplied random.Random so that a single
 integer seed reproduces every suite exactly.
@@ -29,6 +29,17 @@ def _random_graph(n: int, p: float, rng: Random) -> Graph:
         if rng.random() < p
     ]
     return from_edge_list(n, edges)
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def random_connected_graph(n: int, rng: Random) -> Graph:

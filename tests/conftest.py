@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from pqvol.graphs import Graph, from_edge_list
+from pqvol.sampling import compositions  # noqa: F401  (imported by the test modules)
 
 
 def nx_to_graph(nxg: nx.Graph) -> Graph:
@@ -34,16 +35,6 @@ def connected_catalog(n_max: int) -> list[Graph]:
             continue
         out.append(nx_to_graph(nxg))
     return out
-
-
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 @pytest.fixture

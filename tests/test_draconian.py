@@ -151,8 +151,6 @@ def test_cluster_fallback_matches_vectorized_path(monkeypatch, rng):
 def test_config_validation_and_cap():
     with pytest.raises(ValueError):
         EnumerationConfig(max_n=0)
-    with pytest.raises(ValueError):
-        EnumerationConfig(leaf_checker="magic")
     with pytest.raises(ResourceCapExceeded):
         count(generate("complete", 19))
     cfg = EnumerationConfig(max_n=19)
@@ -164,10 +162,12 @@ def test_config_validation_and_cap():
 
 
 def test_subset_leaf_checker_agrees_with_flow():
+    # the enumerator's leaves use the flow test; the subset oracle must pick
+    # out the same sequences from all compositions, in the same order
     g = generate("wheel", 5)
-    by_flow = enumerate_draconian(g, config=EnumerationConfig(leaf_checker="flow"))
-    by_subset = enumerate_draconian(g, config=EnumerationConfig(leaf_checker="subset"))
-    assert by_flow.entry_tuples() == by_subset.entry_tuples()
+    d = build_double(g)
+    want = tuple(c for c in compositions(g.n - 1, g.n) if check_subset(d, c))
+    assert enumerate_draconian(g).entry_tuples() == want
 
 
 @pytest.mark.parametrize("g", [generate("wheel", 5), generate("complete", 5), generate("star", 6)])
@@ -177,5 +177,24 @@ def test_worker_counts_agree_byte_for_byte(g):
     assert count(g, workers=8) == enumerate_draconian(g).count
 
 
-def test_enumerate_alias_is_exported():
-    assert draconian.enumerate is enumerate_draconian
+def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(draconian, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(draconian.os, "cpu_count", lambda: 2)
+    g = generate("wheel", 6)
+    assert count(g, workers=64) == count(g)
+    assert requested == [2]

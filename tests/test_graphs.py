@@ -23,12 +23,8 @@ from pqvol.graphs import (
     parse_edge_list,
     permute_vertices,
     read_edge_list,
-    sp_compose,
     subdivide,
     triangle_join,
-    two_terminal_edge,
-    vertices_pq,
-    vertices_root,
     write_edge_list,
 )
 
@@ -203,30 +199,6 @@ def test_join_builds_wheel():
     assert join(generate("complete", 1), generate("cycle", 5)) == generate("wheel", 5)
 
 
-def test_series_parallel_composition():
-    e = two_terminal_edge()
-    series = sp_compose("series", e, e)
-    assert series.graph == generate("path", 3)
-    parallel = sp_compose("parallel", series, e)
-    assert parallel.graph == generate("cycle", 3)
-
-
-def test_parallel_two_paths_forms_complete_bipartite():
-    from pqvol.draconian import count
-    from pqvol.recurrence import nvol_k2m
-
-    e = two_terminal_edge()
-    p3 = sp_compose("series", e, e)
-    net = p3
-    for _ in range(3):
-        net = sp_compose("parallel", net, p3)
-    g = net.graph
-    # terminals 1 and 3 each adjacent to the four interior vertices
-    assert (g.n, g.m) == (6, 8)
-    assert set(g.neighbors(1)) == set(g.neighbors(3)) == {2, 4, 5, 6}
-    assert count(g) == nvol_k2m(6) == 142
-
-
 def test_build_double_neighborhoods():
     c3 = generate("cycle", 3)
     d = build_double(c3)
@@ -234,12 +206,3 @@ def test_build_double_neighborhoods():
     # the mirror of i plus the mirrors of its neighbors
     assert d.neighborhood_mask(1) == 0b111
     assert sorted(d.edges()) == [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-
-
-def test_polytope_vertex_lists():
-    p2 = generate("path", 2)
-    pq = vertices_pq(p2)
-    assert len(pq) == 4  # two loops plus the two orientations of the edge
-    assert all(len(v) == 4 for v in pq)
-    root = vertices_root(build_double(p2))
-    assert len(root) == 4

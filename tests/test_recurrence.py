@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+import time
+from dataclasses import replace
+
 import pytest
 
 from pqvol.draconian import count, enumerate_draconian
@@ -18,7 +22,6 @@ from pqvol.recurrence import (
     nvol_cycle,
     nvol_forest,
     nvol_k2m,
-    product_rules,
     replay_trace,
     serialize_trace,
     stirling2,
@@ -255,8 +258,59 @@ def test_memo_is_reused_and_clearable():
     assert nvol(g).value == first.value
 
 
-def test_product_rules_exposes_structure():
-    two_triangles = disjoint_union(generate("cycle", 3), generate("cycle", 3))
-    res = product_rules(two_triangles)
-    assert res.value == 36
-    assert [c.value for c in res.trace.children] == [6, 6]
+def _subdivided_k4(times):
+    # K4 whose edge 1-2 becomes a path: each step subdivides the edge between
+    # vertex 1 and the newest vertex, so reverse moves nest `times` deep
+    g, newest = generate("complete", 4), 2
+    for _ in range(times):
+        g = subdivide(g, (1, newest))
+        newest = g.n
+    return g
+
+
+def test_deep_reverse_move_chain_needs_no_recursion():
+    g = _subdivided_k4(200)
+    clear_memo()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        res = nvol(g)
+        replayed = replay_trace(res.trace)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = 2924627240551362301486371008060915936590409448684682960248504320
+    assert res.value == replayed == want
+
+
+def test_replay_checks_each_shared_node_once():
+    trace = nvol(generate("random_outerplanar", 120, seed=7)).trace
+    start = time.perf_counter()
+    assert replay_trace(trace) == trace.value
+    assert time.perf_counter() - start < 0.5
+
+
+def test_replay_rejects_a_corrupted_deep_node():
+    def corrupt(node, depth):
+        if depth == 0:
+            return replace(node, value=node.value + 1)
+        first, *rest = node.children
+        return replace(node, children=(corrupt(first, depth - 1), *rest))
+
+    trace = nvol(_subdivided_k4(40)).trace
+    with pytest.raises(ValueError, match="trace mismatch"):
+        replay_trace(corrupt(trace, 30))
+    with pytest.raises(ValueError, match="unknown combination rule"):
+        replay_trace(replace(trace, rule="guess"))
+
+
+def test_oracle_mode_splits_components_only():
+    with pytest.raises(ValueError):
+        nvol(generate("cycle", 3), strategy="enumerate-only")
+    g = disjoint_union(generate("wheel", 4), generate("path", 3))
+    res = nvol(g, strategy="enumerate")
+    assert res.trace.rule == "component-product"
+    assert [(c.rule, c.value) for c in res.trace.children] == [
+        ("enumeration", 66),
+        ("enumeration", 4),
+    ]
+    assert res.value == nvol(g).value == 264
