@@ -8,7 +8,6 @@ outerplanar graphs.
 """
 
 from .draconian import (
-    DraconianSequence,
     DraconianSet,
     EnumerationConfig,
     ResourceCapExceeded,
@@ -16,7 +15,6 @@ from .draconian import (
     check_subset,
     count,
     enumerate_draconian,
-    neighborhood_union_size,
 )
 from .graphs import (
     BipartiteDouble,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BijectionWitness",
     "BipartiteDouble",
-    "DraconianSequence",
     "DraconianSet",
     "EnumerationConfig",
     "Graph",
@@ -77,7 +74,6 @@ __all__ = [
     "generate",
     "graph_fingerprint",
     "is_outerplanar",
-    "neighborhood_union_size",
     "nvol",
     "nvol_complete_minus_matching",
     "nvol_cycle",

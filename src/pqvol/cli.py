@@ -125,6 +125,7 @@ def main() -> None:
 
 
 def _trace_dict(node: recurrence.TraceNode) -> dict:
+    """One trace node as a JSON object; _json_text expands its children."""
     return {
         "rule": node.rule,
         "fingerprint": node.fingerprint,
@@ -132,8 +133,43 @@ def _trace_dict(node: recurrence.TraceNode) -> dict:
         "m": node.m,
         "value": node.value,
         "detail": node.detail,
-        "children": [_trace_dict(c) for c in node.children],
+        "children": list(node.children),
     }
+
+
+def _json_text(obj) -> str:
+    """jsonlib.dumps(obj, indent=2, sort_keys=True), trace nodes included,
+    from an explicit stack: the json module recurses once per nesting level,
+    which deep traces exceed."""
+    out = []
+    stack = [(obj, 0)]  # (value, depth) to encode, or literal text
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            out.append(top)
+            continue
+        value, depth = top
+        if isinstance(value, recurrence.TraceNode):
+            value = _trace_dict(value)
+        if isinstance(value, dict):
+            brackets, items = "{}", sorted(value.items())
+        elif isinstance(value, list):
+            brackets, items = "[]", [(None, v) for v in value]
+        else:
+            out.append(jsonlib.dumps(value))
+            continue
+        if not items:
+            out.append(brackets)
+            continue
+        out.append(brackets[0])
+        stack.append("\n" + "  " * depth + brackets[1])
+        pad = "\n" + "  " * (depth + 1)
+        for i in reversed(range(len(items))):
+            key, v = items[i]
+            stack.append((v, depth + 1))
+            label = "" if key is None else jsonlib.dumps(key) + ": "
+            stack.append(("," if i else "") + pad + label)
+    return "".join(out)
 
 
 @main.command("nvol")
@@ -164,8 +200,8 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
             "value": result.value,
         }
         if show_trace:
-            payload["trace"] = _trace_dict(result.trace)
-        click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
+            payload["trace"] = result.trace
+        click.echo(_json_text(payload))
     else:
         click.echo(str(result.value))
         if show_trace:
@@ -193,7 +229,7 @@ def cmd_enum(graph_spec, workers, seed, as_json) -> None:
             "command": "enum",
             "count": ds.count,
             "fingerprint": graph_fingerprint(g),
-            "sequences": [list(s.entries) for s in ds.sequences],
+            "sequences": [list(s) for s in ds.sequences],
         }
         click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
     else:

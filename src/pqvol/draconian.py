@@ -25,7 +25,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DraconianSequence",
     "DraconianSet",
     "EnumerationConfig",
     "ResourceCapExceeded",
@@ -33,7 +32,6 @@ __all__ = [
     "check_subset",
     "count",
     "enumerate_draconian",
-    "neighborhood_union_size",
     "sequences_to_text",
 ]
 
@@ -44,26 +42,6 @@ _VECTOR_LIMIT = 22
 
 class ResourceCapExceeded(RuntimeError):
     """A requested computation exceeds the configured size cap."""
-
-
-@dataclass(frozen=True, order=True)
-class DraconianSequence:
-    """A candidate sequence; ordering is lexicographic on the entries."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(int(x) for x in self.entries)
-        if any(x < 0 for x in entries):
-            raise ValueError("entries must be nonnegative")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
-    def __str__(self) -> str:
-        return " ".join(str(x) for x in self.entries)
 
 
 @dataclass(frozen=True)
@@ -82,26 +60,28 @@ class EnumerationConfig:
 
 @dataclass(frozen=True)
 class DraconianSet:
-    """All draconian sequences of a graph, lexicographically sorted."""
+    """All draconian sequences of a graph as int tuples, lexicographically sorted."""
 
-    graph: Graph
-    sequences: tuple[DraconianSequence, ...]
-    count: int
+    sequences: tuple[tuple[int, ...], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.sequences)
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.sequences)
 
     def __iter__(self):
         return iter(self.sequences)
 
     def entry_tuples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.entries for s in self.sequences)
+        return self.sequences
 
     def entry_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(s.entries for s in self.sequences)
+        return frozenset(self.sequences)
 
     def to_text(self) -> str:
-        return sequences_to_text(self.entry_tuples())
+        return sequences_to_text(self.sequences)
 
 
 def sequences_to_text(seqs) -> str:
@@ -124,21 +104,6 @@ def _validate_sequence(d: BipartiteDouble, a) -> tuple[int, ...]:
     if any(x < 0 for x in seq):
         raise ValueError("sequence entries must be nonnegative")
     return seq
-
-
-def neighborhood_union_size(double: BipartiteDouble | Graph, s) -> int:
-    """|union of D-neighborhoods over the vertex subset s|; s must be nonempty."""
-    d = _coerce_double(double)
-    union = 0
-    empty = True
-    for v in s:
-        empty = False
-        if not (1 <= v <= d.n):
-            raise ValueError(f"vertex {v} out of range for n={d.n}")
-        union |= d.neighborhood_mask(v)
-    if empty:
-        raise ValueError("subset must be nonempty")
-    return union.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +302,10 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     Returns the lexicographic list of full sequences (collect=True) or their
     number (collect=False). Branches are cut by per-vertex caps, remaining-sum
     feasibility, strict pair and prefix-union bounds, and an incrementally
-    maintained unit routing that detects infeasible prefixes early.
+    maintained unit routing that detects infeasible prefixes early. The same
+    loop forces the prefix: at t <= len(prefix) it walks the values up to
+    prefix[t - 1], so every cut above applies to them, and descends only at
+    that value.
     """
     n = d.n
     total = n - 1
@@ -369,29 +337,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     current = [0] * (n + 1)
     out: list[tuple[int, ...]] = []
     counter = 0
-
-    # Seed the fixed prefix, mirroring the in-loop pruning conditions; any
-    # failure means no completion exists.
     k = len(prefix)
-    psum = 0
-    scratch: list[tuple[int, int]] = []
-    for idx in range(k):
-        t = idx + 1
-        val = prefix[idx]
-        if val > caps[t] or psum + val >= prefix_bound[t]:
-            return out if collect else 0
-        row = pair_bound[t]
-        for i in range(1, t):
-            if current[i] + val >= row[i]:
-                return out if collect else 0
-        for _ in range(val):
-            if not _kuhn_augment(t, nbrs, match_right, scratch):
-                return out if collect else 0
-        current[t] = val
-        psum += val
-    rem = total - psum
-    if rem < 0 or rem > suffix[k + 1]:
-        return out if collect else 0
 
     def dfs(t: int, acc: int) -> None:
         nonlocal counter
@@ -404,6 +350,11 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             return
         rem_total = total - acc
         hi = caps[t] if caps[t] < rem_total else rem_total
+        lo = 0
+        if t <= k:
+            lo = prefix[t - 1]
+            if lo < hi:
+                hi = lo
         sfx = suffix[t + 1]
         bound = prefix_bound[t]
         row = pair_bound[t]
@@ -415,7 +366,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
                 if not _kuhn_augment(t, nbrs, match_right, trail):
                     break
                 trails.append(trail)
-            if rem_total - val <= sfx:
+            if val >= lo and rem_total - val <= sfx:
                 ok = acc + val < bound
                 if ok:
                     for i in range(1, t):
@@ -431,7 +382,11 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
         for trail in reversed(trails):
             _undo_trail(trail, match_right)
 
-    dfs(k + 1, psum)
+    dfs(1, 0)
+    # dfs reaches itself through its closure cell; emptying the cell breaks
+    # that cycle, so out and the search state are freed by reference
+    # counting instead of waiting for the cyclic collector.
+    del dfs
     return out if collect else counter
 
 
@@ -483,8 +438,7 @@ def enumerate_draconian(
     Disconnected graphs have none: each component's vertex set forces its
     partial sum below the component size, so the totals cannot reach n - 1.
     """
-    seqs = tuple(DraconianSequence(s) for s in _run(g, workers, config, collect=True))
-    return DraconianSet(graph=g, sequences=seqs, count=len(seqs))
+    return DraconianSet(tuple(_run(g, workers, config, collect=True)))
 
 
 def count(g: Graph, workers: int = 1, config: EnumerationConfig | None = None) -> int:

@@ -220,7 +220,7 @@ def subdivision_step(
     g_del = delete_edge(g, edge)
     d_base = draconian.enumerate_draconian(g)
     d_del = draconian.enumerate_draconian(g_del)
-    d_sub = draconian.enumerate_draconian(g_sub)
+    n_sub = draconian.count(g_sub)
     double_del = build_double(g_del)
     double_sub = build_double(g_sub)
 
@@ -253,10 +253,10 @@ def subdivision_step(
 
     identity = IdentityCheck(
         kind="subdivision",
-        transformed_count=d_sub.count,
+        transformed_count=n_sub,
         base_count=d_base.count,
         deleted_count=d_del.count,
-        holds=d_sub.count == 2 * d_base.count + d_del.count,
+        holds=n_sub == 2 * d_base.count + d_del.count,
     )
     witness = BijectionWitness(
         kind="subdivision", set_a=set_a, set_b=tuple(set_b), set_c=tuple(set_c)
@@ -282,7 +282,7 @@ def triangle_step(
 
     g_tri = triangle_join(g, edge)
     d_base = draconian.enumerate_draconian(g)
-    d_tri = draconian.enumerate_draconian(g_tri)
+    n_tri = draconian.count(g_tri)
     double_base = build_double(g)
 
     ui, vi = u_ - 1, v_ - 1
@@ -312,10 +312,10 @@ def triangle_step(
 
     identity = IdentityCheck(
         kind="triangle",
-        transformed_count=d_tri.count,
+        transformed_count=n_tri,
         base_count=d_base.count,
         deleted_count=None,
-        holds=d_tri.count == 3 * d_base.count,
+        holds=n_tri == 3 * d_base.count,
     )
     witness = BijectionWitness(
         kind="triangle", set_a=set_a, set_b=tuple(set_b), set_c=tuple(set_c)
@@ -347,10 +347,19 @@ class VolumeResult:
 
 
 def serialize_trace(node: TraceNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    detail = f" [{node.detail}]" if node.detail else ""
-    line = f"{pad}{node.rule} {node.fingerprint} value={node.value}{detail}\n"
-    return line + "".join(serialize_trace(c, indent + 1) for c in node.children)
+    """One line per node in preorder, children indented two spaces deeper.
+
+    Shared nodes are written out in full wherever they occur. An explicit
+    stack walks the tree, so its depth is not bounded by the recursion limit.
+    """
+    lines = []
+    stack = [(node, indent)]
+    while stack:
+        node, depth = stack.pop()
+        detail = f" [{node.detail}]" if node.detail else ""
+        lines.append(f"{'  ' * depth}{node.rule} {node.fingerprint} value={node.value}{detail}\n")
+        stack.extend((c, depth + 1) for c in reversed(node.children))
+    return "".join(lines)
 
 
 def _combine(rule: str, values: list[int]) -> int:
@@ -394,9 +403,10 @@ def replay_trace(node: TraceNode) -> int:
     return replayed[id(node)]
 
 
-# Keyed by (oracle mode, n, sorted edges), so the two strategies never share
-# entries.
-_MEMO: dict[tuple[bool, int, tuple[tuple[int, int], ...]], TraceNode] = {}
+# Keyed by (oracle mode, enumeration cap, n, sorted edges), so the two
+# strategies never share entries and a smaller cap is never answered from a
+# run under a larger one.
+_MEMO: dict[tuple[bool, int, int, tuple[tuple[int, int], ...]], TraceNode] = {}
 
 
 def clear_memo() -> None:
@@ -513,10 +523,11 @@ def _plan(g: Graph, oracle: bool, workers: int, config) -> TraceNode:
     comes. The stack, not the interpreter's recursion limit, bounds the
     depth; a step leaves it once its last child is done.
     """
+    max_n = (config or draconian.EnumerationConfig()).max_n
     stack = []  # (memo key, graph, rule, detail, child graphs, child nodes)
     todo = g
     while True:
-        key = (oracle, todo.n, todo.sorted_edges)
+        key = (oracle, max_n, todo.n, todo.sorted_edges)
         node = _MEMO.get(key)
         if node is None:
             rule, detail, kids, value = _step(todo, oracle, workers, config)

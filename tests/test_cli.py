@@ -32,6 +32,21 @@ def test_nvol_file_spec(runner, tmp_path):
     assert result.output == "16\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["nvol", "path:4"],
+        ["nvol", "wheel:5", "--strategy", "enumerate"],
+        ["nvol", "random_outerplanar:25", "--seed", "3"],
+    ],
+)
+def test_json_trace_bytes_match_the_json_module(runner, args):
+    result = runner.invoke(cli.main, [*args, "--json", "--trace"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert result.output == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_nvol_trace_lists_rules(runner):
     result = runner.invoke(cli.main, ["nvol", "path:4", "--trace"])
     assert result.exit_code == 0

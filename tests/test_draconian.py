@@ -1,17 +1,17 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from pqvol import draconian
 from pqvol.draconian import (
-    DraconianSequence,
     EnumerationConfig,
     ResourceCapExceeded,
     check_flow,
     check_subset,
     count,
     enumerate_draconian,
-    neighborhood_union_size,
     sequences_to_text,
 )
 from pqvol.graphs import (
@@ -23,13 +23,6 @@ from pqvol.graphs import (
 )
 
 from conftest import compositions, connected_catalog
-
-
-def test_sequence_type_validates():
-    s = DraconianSequence((1, 0, 2))
-    assert s.total == 3
-    with pytest.raises(ValueError):
-        DraconianSequence((1, -1, 3))
 
 
 def test_star_listing_is_byte_exact():
@@ -80,9 +73,9 @@ def test_all_enumerated_sequences_satisfy_both_checkers():
     ds = enumerate_draconian(g)
     assert ds.count == 66
     for s in ds:
-        assert sum(s.entries) == g.n - 1
-        assert check_subset(d, s.entries)
-        assert check_flow(d, s.entries)
+        assert sum(s) == g.n - 1
+        assert check_subset(d, s)
+        assert check_flow(d, s)
 
 
 def test_count_is_invariant_under_relabeling(rng):
@@ -93,19 +86,6 @@ def test_count_is_invariant_under_relabeling(rng):
         rng.shuffle(labels)
         perm = {i + 1: labels[i] for i in range(g.n)}
         assert count(permute_vertices(g, perm)) == base
-
-
-def test_neighborhood_union_size():
-    d = build_double(generate("path", 3))
-    assert neighborhood_union_size(d, [2]) == 3
-    assert neighborhood_union_size(d, [1]) == 2
-    assert neighborhood_union_size(d, [1, 2, 3]) == 3
-    with pytest.raises(ValueError):
-        neighborhood_union_size(d, [])
-    with pytest.raises(ValueError):
-        neighborhood_union_size(d, [0])
-    with pytest.raises(ValueError):
-        neighborhood_union_size(d, [4])
 
 
 @pytest.mark.parametrize("checker", [check_subset, check_flow])
@@ -198,3 +178,40 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
     g = generate("wheel", 6)
     assert count(g, workers=64) == count(g)
     assert requested == [2]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("cycle", 7),
+        generate("wheel", 5),
+        generate("star", 6),
+        generate("complete_bipartite", 2, 4),
+    ],
+)
+@pytest.mark.parametrize("workers", [2, 64])
+def test_forced_prefix_runs_match_the_serial_listing(g, workers):
+    # one- and two-coordinate prefixes, some with no completion, each forced
+    # through the search loop in-process, so no pool starts
+    d = build_double(g)
+    serial = draconian._dfs_run(d, (), True)
+    prefixes = draconian._shard_prefixes(d, workers)
+    parts = [draconian._dfs_run(d, p, True) for p in prefixes]
+    for p, part in zip(prefixes, parts):
+        assert part == [s for s in serial if s[: len(p)] == p]
+        assert draconian._dfs_run(d, p, False) == len(part)
+    assert [s for part in parts for s in part] == serial
+
+
+def test_listings_are_freed_without_the_cyclic_collector():
+    g = generate("wheel", 8)
+    gc.collect()
+    gc.disable()
+    try:
+        ds = enumerate_draconian(g)
+        assert ds.count == 6306
+        del ds
+        assert count(g) == 6306
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

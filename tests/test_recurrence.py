@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import sys
 import time
 from dataclasses import replace
 
 import pytest
+from click.testing import CliRunner
 
-from pqvol.draconian import count, enumerate_draconian
+from pqvol import cli
+from pqvol.draconian import EnumerationConfig, ResourceCapExceeded, count, enumerate_draconian
 from pqvol.graphs import (
     delete_edge,
     disjoint_union,
@@ -14,6 +17,7 @@ from pqvol.graphs import (
     generate,
     subdivide,
     triangle_join,
+    write_edge_list,
 )
 from pqvol.recurrence import (
     clear_memo,
@@ -258,6 +262,16 @@ def test_memo_is_reused_and_clearable():
     assert nvol(g).value == first.value
 
 
+def test_memo_respects_the_enumeration_cap():
+    # wheel:6 has no degree-2 vertex, so the planner enumerates it
+    clear_memo()
+    g = generate("wheel", 6)
+    for strategy in ("auto", "enumerate"):
+        assert nvol(g, strategy=strategy).value == 666
+        with pytest.raises(ResourceCapExceeded):
+            nvol(g, strategy=strategy, config=EnumerationConfig(max_n=4))
+
+
 def _subdivided_k4(times):
     # K4 whose edge 1-2 becomes a path: each step subdivides the edge between
     # vertex 1 and the newest vertex, so reverse moves nest `times` deep
@@ -280,6 +294,32 @@ def test_deep_reverse_move_chain_needs_no_recursion():
         sys.setrecursionlimit(limit)
     want = 2924627240551362301486371008060915936590409448684682960248504320
     assert res.value == replayed == want
+
+
+def test_deep_trace_writers_need_no_recursion(tmp_path):
+    g = _subdivided_k4(200)
+    path = tmp_path / "chain.txt"
+    write_edge_list(g, path)
+    clear_memo()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        trace = nvol(g).trace
+        text = serialize_trace(trace)
+        result = CliRunner().invoke(cli.main, ["nvol", str(path), "--json", "--trace"])
+    finally:
+        sys.setrecursionlimit(limit)
+    # shared nodes are written in full, so count nodes of the expanded tree
+    expanded, stack = 0, [trace]
+    while stack:
+        expanded += 1
+        stack.extend(stack.pop().children)
+    assert len(text.splitlines()) == expanded
+    assert text.startswith(f"{trace.rule} {trace.fingerprint} value={trace.value} ")
+    assert result.exit_code == 0, result.output[-500:]
+    payload = json.loads(result.output)
+    assert payload["value"] == payload["trace"]["value"] == trace.value
+    assert result.output.count('"rule": ') == expanded
 
 
 def test_replay_checks_each_shared_node_once():
