@@ -398,16 +398,24 @@ _SUITES = {
     "formulas": _suite_formulas,
     "bijections": _suite_bijections,
 }
+# Smallest --n-max each suite can sample from: subdivision pairs need four
+# vertices, the forest samples two; the checker suite clamps its sizes.
+_SUITE_MIN_N = {"recurrences": 4, "checkers": 1, "formulas": 2, "bijections": 4}
 
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(sorted(_SUITES)))
 @click.option("--n-max", type=int, default=7, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=25, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=25, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(suite, n_max, seed, samples, as_json) -> None:
     """Run a property suite; nonzero exit when any case fails."""
+    if n_max < _SUITE_MIN_N[suite]:
+        raise click.BadParameter(
+            f"{n_max} is below {_SUITE_MIN_N[suite]}, the smallest size {suite} samples",
+            param_hint="'--n-max'",
+        )
     start = time.perf_counter()
     try:
         cases = _SUITES[suite](n_max, seed, samples)
@@ -484,9 +492,10 @@ _SCANS = {"wheels": _scan_wheels, "outerplanar-conjecture": _scan_outerplanar}
 
 @main.command("scan")
 @click.argument("target", type=click.Choice(sorted(_SCANS)))
-@click.option("--n-max", type=int, default=6, show_default=True)
+# both targets start at three vertices, the smallest wheel and outerplanar block
+@click.option("--n-max", type=click.IntRange(min=3), default=6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--samples", type=int, default=50, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="append records to this file")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)

@@ -9,7 +9,9 @@ and every nonempty subset S of [n] satisfies
 Two independent deciders are provided: :func:`check_subset` evaluates the
 subset inequalities directly, and :func:`check_flow` reformulates them as a
 bipartite transportation feasibility question. They must agree everywhere;
-the test suite enforces this.
+the test suite enforces this. Both are oracles for the enumerator, which
+shares no acceptance test with either: it tests strictness while it builds
+each sequence, by look-ahead augmentations, and never checks a finished one.
 """
 
 from __future__ import annotations
@@ -217,28 +219,38 @@ def _neighbor_lists(d: BipartiteDouble) -> list[tuple[int, ...]]:
 
 
 def _kuhn_augment(i, nbrs, match_right, trail, visited=None) -> bool:
-    """Route one more unit from left vertex i; record flips on the trail."""
+    """Route one more unit from left vertex i; record flips on the trail.
+
+    A directly free right neighbour is taken before any alternating path is
+    searched. That changes which routing is found, never whether one exists,
+    and both callers depend only on existence (see _dfs_run).
+    """
+    row = nbrs[i]
+    for r in row:
+        if match_right[r] == 0:
+            trail.append((r, 0))
+            match_right[r] = i
+            return True
     if visited is None:
         visited = bytearray(len(match_right))
-    for r in nbrs[i]:
+    for r in row:
         if not visited[r]:
             visited[r] = 1
             j = match_right[r]
-            if j == 0 or _kuhn_augment(j, nbrs, match_right, trail, visited):
+            if _kuhn_augment(j, nbrs, match_right, trail, visited):
                 trail.append((r, j))
                 match_right[r] = i
                 return True
     return False
 
 
-def _undo_trail(trail, match_right) -> None:
-    for r, j in reversed(trail):
-        match_right[r] = j
-
-
 def _all_reach_free(nbrs, match_right, n) -> bool:
-    """With n-1 units placed, one right vertex z is free; the strict subset
-    inequalities hold iff every left vertex has an alternating path to z."""
+    """Strictness test of the independent flow oracle, check_flow.
+
+    With n-1 units placed, one right vertex z is free; the strict subset
+    inequalities hold iff every left vertex has an alternating path to z.
+    The enumerator does not call it.
+    """
     z = 0
     for r in range(1, n + 1):
         if match_right[r] == 0:
@@ -269,7 +281,7 @@ def _all_reach_free(nbrs, match_right, n) -> bool:
 
 
 def check_flow(double: BipartiteDouble | Graph, a) -> bool:
-    """Decide draconian-hood via transportation feasibility.
+    """Decide draconian-hood via transportation feasibility; independent flow oracle.
 
     Routing a_i units from each left vertex into unit-capacity right
     vertices leaves exactly one right vertex free; the sequence is draconian
@@ -300,38 +312,32 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     """Depth-first enumeration of draconian sequences extending prefix.
 
     Returns the lexicographic list of full sequences (collect=True) or their
-    number (collect=False). Branches are cut by per-vertex caps, remaining-sum
-    feasibility, strict pair and prefix-union bounds, and an incrementally
-    maintained unit routing that detects infeasible prefixes early. The same
-    loop forces the prefix: at t <= len(prefix) it walks the values up to
-    prefix[t - 1], so every cut above applies to them, and descends only at
-    that value.
+    number (collect=False). An incrementally maintained unit routing holds
+    a_1..a_{t-1} when position t is reached, and position t accepts val only
+    if, with val units routed from t, one more augmentation from t succeeds.
+    That look-ahead is exact: a routing of a + e_t on [t] exists iff Hall's
+    condition a(S) + [t in S] <= |N(S)| holds for every S in [t], and an
+    augmenting path exists iff a larger routing does. The sets without t
+    were certified at their own largest position, so the look-ahead decides
+    precisely the strict inequalities a(S) < |N(S)| whose largest vertex
+    is t. The look-ahead path is undone before descending and reapplied from
+    its saved flips afterwards, where it becomes the routing for val + 1.
+    a(S) grows with val, so the first failed look-ahead ends the loop. With
+    the per-vertex caps and the remaining-sum feasibility test, every leaf
+    the search reaches is a draconian sequence; none is checked after the
+    fact. The same loop forces the prefix: at t <= len(prefix) it walks the
+    values up to prefix[t - 1] and descends only at that value.
     """
     n = d.n
     total = n - 1
-    masks = [0] * (n + 1)
-    for i in range(1, n + 1):
-        masks[i] = d.neighborhoods[i - 1]
     nbrs = _neighbor_lists(d)
 
     caps = [0] * (n + 2)
     for i in range(1, n + 1):
-        caps[i] = min(masks[i].bit_count() - 1, total)
+        caps[i] = min(len(nbrs[i]) - 1, total)
     suffix = [0] * (n + 2)
     for i in range(n, 0, -1):
         suffix[i] = suffix[i + 1] + caps[i]
-
-    pair_bound = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            b = (masks[i] | masks[j]).bit_count()
-            pair_bound[i][j] = b
-            pair_bound[j][i] = b
-    prefix_bound = [0] * (n + 1)
-    running = 0
-    for i in range(1, n + 1):
-        running |= masks[i]
-        prefix_bound[i] = running.bit_count()
 
     match_right = [0] * (n + 1)
     current = [0] * (n + 1)
@@ -342,11 +348,10 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     def dfs(t: int, acc: int) -> None:
         nonlocal counter
         if t > n:
-            if _all_reach_free(nbrs, match_right, n):
-                if collect:
-                    out.append(tuple(current[1:]))
-                else:
-                    counter += 1
+            if collect:
+                out.append(tuple(current[1:]))
+            else:
+                counter += 1
             return
         rem_total = total - acc
         hi = caps[t] if caps[t] < rem_total else rem_total
@@ -356,31 +361,27 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             if lo < hi:
                 hi = lo
         sfx = suffix[t + 1]
-        bound = prefix_bound[t]
-        row = pair_bound[t]
         trails: list[list[tuple[int, int]]] = []
         val = 0
         while val <= hi:
-            if val > 0:
-                trail: list[tuple[int, int]] = []
-                if not _kuhn_augment(t, nbrs, match_right, trail):
-                    break
-                trails.append(trail)
+            trail: list[tuple[int, int]] = []
+            if not _kuhn_augment(t, nbrs, match_right, trail):
+                break
             if val >= lo and rem_total - val <= sfx:
-                ok = acc + val < bound
-                if ok:
-                    for i in range(1, t):
-                        if current[i] + val >= row[i]:
-                            ok = False
-                            break
-                if not ok:
-                    break
+                # one path flips each right vertex once, so order is free here
+                redo = [(r, match_right[r]) for r, _ in trail]
+                for r, j in trail:
+                    match_right[r] = j
                 current[t] = val
                 dfs(t + 1, acc + val)
+                for r, i in redo:
+                    match_right[r] = i
+            trails.append(trail)
             val += 1
         current[t] = 0
         for trail in reversed(trails):
-            _undo_trail(trail, match_right)
+            for r, j in trail:
+                match_right[r] = j
 
     dfs(1, 0)
     # dfs reaches itself through its closure cell; emptying the cell breaks

@@ -174,6 +174,38 @@ def test_verify_failure_exits_1(runner, monkeypatch):
     assert "case: forced FAIL (broken)" in result.output
 
 
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["verify", "recurrences", "--n-max", "2"], "--n-max"),
+        (["verify", "bijections", "--n-max", "3"], "--n-max"),
+        (["verify", "formulas", "--n-max", "1"], "--n-max"),
+        (["scan", "outerplanar-conjecture", "--n-max", "2"], "--n-max"),
+        (["verify", "checkers", "--samples", "-3"], "--samples"),
+        (["scan", "outerplanar-conjecture", "--samples", "-1"], "--samples"),
+    ],
+)
+def test_sizes_below_a_suites_smallest_exit_2(runner, args, option):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "recurrences", "--n-max", "4"],
+        ["verify", "bijections", "--n-max", "4"],
+        ["verify", "formulas", "--n-max", "2"],
+        ["scan", "outerplanar-conjecture", "--n-max", "3"],
+    ],
+)
+def test_smallest_sizes_run(runner, args):
+    result = runner.invoke(cli.main, [*args, "--samples", "2"])
+    assert result.exit_code == 0, result.output
+
+
 def test_verify_rejects_unknown_suite(runner):
     assert runner.invoke(cli.main, ["verify", "everything"]).exit_code == 2
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 
 import pytest
 
@@ -16,6 +17,7 @@ from pqvol.draconian import (
 )
 from pqvol.graphs import (
     build_double,
+    connected_components,
     disjoint_union,
     from_edge_list,
     generate,
@@ -142,12 +144,48 @@ def test_config_validation_and_cap():
 
 
 def test_subset_leaf_checker_agrees_with_flow():
-    # the enumerator's leaves use the flow test; the subset oracle must pick
-    # out the same sequences from all compositions, in the same order
+    # the enumerator accepts each value by a look-ahead augmentation; the
+    # subset oracle must pick out the same sequences from all compositions,
+    # in the same order
     g = generate("wheel", 5)
     d = build_double(g)
     want = tuple(c for c in compositions(g.n - 1, g.n) if check_subset(d, c))
     assert enumerate_draconian(g).entry_tuples() == want
+
+
+def test_listings_equal_the_subset_filter_on_every_labelled_graph_up_to_5():
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = from_edge_list(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+            if len(connected_components(g)) == 1:
+                graphs.append(g)
+    assert len(graphs) == 772
+    for g in graphs:
+        d = build_double(g)
+        want = tuple(c for c in compositions(g.n - 1, g.n) if check_subset(d, c))
+        assert enumerate_draconian(g).entry_tuples() == want
+
+
+@pytest.mark.parametrize(
+    "g", [generate("cycle", 9), generate("wheel", 6), generate("complete_bipartite", 2, 5)]
+)
+def test_search_checks_no_leaf_after_the_fact(monkeypatch, g):
+    d = build_double(g)
+    want = tuple(c for c in compositions(g.n - 1, g.n) if check_subset(d, c))
+
+    def no_leaf_check(*_args):
+        raise AssertionError("the search must not test a leaf after reaching it")
+
+    monkeypatch.setattr(draconian, "_all_reach_free", no_leaf_check)
+    assert enumerate_draconian(g).entry_tuples() == want
+    assert count(g) == len(want)
+    for workers in (2, 64):
+        prefixes = draconian._shard_prefixes(d, workers)
+        parts = [draconian._dfs_run(d, p, True) for p in prefixes]
+        assert tuple(s for part in parts for s in part) == want
+        assert sum(draconian._dfs_run(d, p, False) for p in prefixes) == len(want)
 
 
 @pytest.mark.parametrize("g", [generate("wheel", 5), generate("complete", 5), generate("star", 6)])
