@@ -273,7 +273,7 @@ def _suite_recurrences(n_max: int, seed: int, samples: int):
 
 def _suite_checkers(n_max: int, seed: int, samples: int):
     cases = []
-    for n in range(1, 5):
+    for n in range(1, min(n_max, 4) + 1):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         checked = 0
         ok = True
@@ -290,7 +290,7 @@ def _suite_checkers(n_max: int, seed: int, samples: int):
         cases.append((f"exhaustive n={n}", ok, f"{checked} pairs"))
     rng = Random(seed)
     for _ in range(samples):
-        n = rng.randint(5, max(5, n_max))
+        n = rng.randint(min(5, n_max), n_max)
         g = sampling.random_connected_graph(n, rng)
         d = build_double(g)
         ok = True
@@ -399,7 +399,7 @@ _SUITES = {
     "bijections": _suite_bijections,
 }
 # Smallest --n-max each suite can sample from: subdivision pairs need four
-# vertices, the forest samples two; the checker suite clamps its sizes.
+# vertices, the forest samples two; the checker suite caps its sizes at it.
 _SUITE_MIN_N = {"recurrences": 4, "checkers": 1, "formulas": 2, "bijections": 4}
 
 

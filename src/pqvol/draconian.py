@@ -12,6 +12,9 @@ bipartite transportation feasibility question. They must agree everywhere;
 the test suite enforces this. Both are oracles for the enumerator, which
 shares no acceptance test with either: it tests strictness while it builds
 each sequence, by look-ahead augmentations, and never checks a finished one.
+It walks each position's values downward and stops at the first value whose
+subtree holds no sequence, since the values that extend a prefix form an
+interval; the listing is reversed once into lexicographic order.
 """
 
 from __future__ import annotations
@@ -320,13 +323,27 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     augmenting path exists iff a larger routing does. The sets without t
     were certified at their own largest position, so the look-ahead decides
     precisely the strict inequalities a(S) < |N(S)| whose largest vertex
-    is t. The look-ahead path is undone before descending and reapplied from
-    its saved flips afterwards, where it becomes the routing for val + 1.
-    a(S) grows with val, so the first failed look-ahead ends the loop. With
-    the per-vertex caps and the remaining-sum feasibility test, every leaf
-    the search reaches is a draconian sequence; none is checked after the
-    fact. The same loop forces the prefix: at t <= len(prefix) it walks the
-    values up to prefix[t - 1] and descends only at that value.
+    is t. a(S) grows with val, so position t routes units from t until an
+    augmentation fails or hi + 1 units are placed; the accepted values are
+    0 up to one less than the units placed, and each saved path is one
+    look-ahead.
+
+    The values are then walked downward. Each step undoes one saved path,
+    so the routing holds exactly val units, and descends. The draconian
+    sequences are the bases of an integral polymatroid, so with the prefix
+    fixed, rem = n - 1 - a_1 - ... - a_{t-1} units left, and a_t = val, the
+    later positions can carry min(M, rem - val) units, where M is what they
+    carry with a_t = 0. Hence val extends the prefix iff val >= rem - M, and
+    the values that do form the interval [max(0, rem - M), top accepted
+    value]. The first child whose subtree reaches no leaf therefore ends the
+    walk, and so does the cheaper necessary test rem - val <= (sum of the
+    later caps); an empty subtree costs one root-to-leaf path. dfs returns
+    whether its subtree reached a leaf. Every leaf the search reaches is a
+    draconian sequence; none is checked after the fact. Leaves arrive in
+    reverse lexicographic order, so the listing is reversed once at the end.
+    The same loop forces the prefix: at t <= len(prefix) it routes at most
+    prefix[t - 1] + 1 units and descends only at that value. Each prefix run
+    reverses its own listing, so shards still concatenate in prefix order.
     """
     n = d.n
     total = n - 1
@@ -345,14 +362,14 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     counter = 0
     k = len(prefix)
 
-    def dfs(t: int, acc: int) -> None:
+    def dfs(t: int, acc: int) -> bool:
         nonlocal counter
         if t > n:
             if collect:
                 out.append(tuple(current[1:]))
             else:
                 counter += 1
-            return
+            return True
         rem_total = total - acc
         hi = caps[t] if caps[t] < rem_total else rem_total
         lo = 0
@@ -360,34 +377,36 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             lo = prefix[t - 1]
             if lo < hi:
                 hi = lo
-        sfx = suffix[t + 1]
         trails: list[list[tuple[int, int]]] = []
-        val = 0
-        while val <= hi:
+        while len(trails) <= hi:
             trail: list[tuple[int, int]] = []
             if not _kuhn_augment(t, nbrs, match_right, trail):
                 break
-            if val >= lo and rem_total - val <= sfx:
-                # one path flips each right vertex once, so order is free here
-                redo = [(r, match_right[r]) for r, _ in trail]
-                for r, j in trail:
-                    match_right[r] = j
-                current[t] = val
-                dfs(t + 1, acc + val)
-                for r, i in redo:
-                    match_right[r] = i
             trails.append(trail)
-            val += 1
-        current[t] = 0
+        sfx = suffix[t + 1]
+        reached = False
+        val = len(trails) - 1
+        while val >= lo and rem_total - val <= sfx:
+            # one path flips each right vertex once, so order is free here
+            for r, j in trails.pop():
+                match_right[r] = j
+            current[t] = val
+            if not dfs(t + 1, acc + val):
+                break
+            reached = True
+            val -= 1
         for trail in reversed(trails):
             for r, j in trail:
                 match_right[r] = j
+        return reached
 
     dfs(1, 0)
     # dfs reaches itself through its closure cell; emptying the cell breaks
     # that cycle, so out and the search state are freed by reference
     # counting instead of waiting for the cyclic collector.
     del dfs
+    if collect:
+        out.reverse()
     return out if collect else counter
 
 

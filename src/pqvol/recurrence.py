@@ -17,7 +17,6 @@ from .graphs import (
     Graph,
     add_edge,
     block_subgraphs,
-    build_double,
     connected_components,
     delete_edge,
     delete_vertex,
@@ -208,6 +207,8 @@ def subdivision_step(
     A maps c in D(g) to (c, 1); B maps c in D(g minus e) to (c, 0) + e_u; C
     maps c in D(g) to (c, 2) - e_u when that lands in D(g:e), and otherwise
     bumps coordinate u (when c is not in D(g minus e)) or v (when it is).
+    All three graphs are listed once, and C's membership tests read those
+    listings; the subdivided graph's listing also gives the transformed count.
     """
     edge = tuple(sorted(e))
     if edge not in g.edges:
@@ -220,9 +221,9 @@ def subdivision_step(
     g_del = delete_edge(g, edge)
     d_base = draconian.enumerate_draconian(g)
     d_del = draconian.enumerate_draconian(g_del)
-    n_sub = draconian.count(g_sub)
-    double_del = build_double(g_del)
-    double_sub = build_double(g_sub)
+    d_sub = draconian.enumerate_draconian(g_sub)
+    in_del = d_del.entry_set()
+    in_sub = d_sub.entry_set()
 
     ui, vi = u_ - 1, v_ - 1
     set_a = tuple(((*c, 1), c) for c in d_base.entry_tuples())
@@ -240,11 +241,11 @@ def subdivision_step(
             cand = list(c) + [2]
             cand[ui] -= 1
             cand_t = tuple(cand)
-            if draconian.check_flow(double_sub, cand_t):
+            if cand_t in in_sub:
                 gamma = cand_t
         if gamma is None:
             img = list(c) + [0]
-            if draconian.check_flow(double_del, c):
+            if c in in_del:
                 img[vi] += 1
             else:
                 img[ui] += 1
@@ -253,10 +254,10 @@ def subdivision_step(
 
     identity = IdentityCheck(
         kind="subdivision",
-        transformed_count=n_sub,
+        transformed_count=d_sub.count,
         base_count=d_base.count,
         deleted_count=d_del.count,
-        holds=n_sub == 2 * d_base.count + d_del.count,
+        holds=d_sub.count == 2 * d_base.count + d_del.count,
     )
     witness = BijectionWitness(
         kind="subdivision", set_a=set_a, set_b=tuple(set_b), set_c=tuple(set_c)
@@ -271,7 +272,8 @@ def triangle_step(
 
     All three images start from D(g): A appends 1; B appends 0 and bumps u;
     C appends 0 and bumps v, falling back to (c, 2) - e_u when the bumped
-    image collides with B (exactly when c + e_v - e_u is again draconian).
+    image collides with B (exactly when c + e_v - e_u is again draconian,
+    which the listing of D(g) answers). The triangle-joined graph is counted.
     """
     edge = tuple(sorted(e))
     if edge not in g.edges:
@@ -282,8 +284,8 @@ def triangle_step(
 
     g_tri = triangle_join(g, edge)
     d_base = draconian.enumerate_draconian(g)
+    in_base = d_base.entry_set()
     n_tri = draconian.count(g_tri)
-    double_base = build_double(g)
 
     ui, vi = u_ - 1, v_ - 1
     set_a = tuple(((*c, 1), c) for c in d_base.entry_tuples())
@@ -301,7 +303,7 @@ def triangle_step(
             shifted = list(c)
             shifted[vi] += 1
             shifted[ui] -= 1
-            collides = draconian.check_flow(double_base, tuple(shifted))
+            collides = tuple(shifted) in in_base
         if collides:
             img = list(c) + [2]
             img[ui] -= 1

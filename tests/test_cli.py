@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -204,6 +205,18 @@ def test_sizes_below_a_suites_smallest_exit_2(runner, args, option):
 def test_smallest_sizes_run(runner, args):
     result = runner.invoke(cli.main, [*args, "--samples", "2"])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5])
+def test_checker_suite_stays_within_n_max(runner, n_max):
+    result = runner.invoke(
+        cli.main, ["verify", "checkers", "--n-max", str(n_max), "--samples", "3", "--json"]
+    )
+    assert result.exit_code == 0, result.output
+    names = [case["name"] for case in json.loads(result.output)["cases"]]
+    sizes = [int(re.match(r"(exhaustive n=|random g)(\d+)", name)[2]) for name in names]
+    assert len(sizes) == min(n_max, 4) + 3
+    assert max(sizes) == n_max
 
 
 def test_verify_rejects_unknown_suite(runner):

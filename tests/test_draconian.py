@@ -225,12 +225,16 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
         generate("wheel", 5),
         generate("star", 6),
         generate("complete_bipartite", 2, 4),
+        # relabelled so that low values at the early positions leave more
+        # units than the later positions take: many children end empty
+        permute_vertices(generate("cycle", 9), {i: 2 * i % 9 + 1 for i in range(1, 10)}),
     ],
 )
 @pytest.mark.parametrize("workers", [2, 64])
 def test_forced_prefix_runs_match_the_serial_listing(g, workers):
     # one- and two-coordinate prefixes, some with no completion, each forced
-    # through the search loop in-process, so no pool starts
+    # through the search loop in-process, so no pool starts; each run
+    # reverses its own downward-walk listing
     d = build_double(g)
     serial = draconian._dfs_run(d, (), True)
     prefixes = draconian._shard_prefixes(d, workers)
@@ -253,3 +257,31 @@ def test_listings_are_freed_without_the_cyclic_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_catalog_count_total_up_to_7():
+    # every connected graph with n <= 7, one per isomorphism class
+    assert sum(count(g) for g in connected_catalog(7)) == 421_461
+
+
+@pytest.mark.parametrize(
+    "spec,sequences,augmentations",
+    [(("cycle", 13), 26_624, 157_481), (("wheel", 10), 58_026, 242_863)],
+    ids=["cycle:13", "wheel:10"],
+)
+def test_search_effort_is_pinned(monkeypatch, spec, sequences, augmentations):
+    # top-level augmentations: the look-aheads and the units routed per
+    # position. An ascending walk that descends into every value passing
+    # the look-ahead makes 275,366 and 288,068.
+    calls = 0
+    augment = draconian._kuhn_augment
+
+    def counted(i, nbrs, match_right, trail, visited=None):
+        nonlocal calls
+        if visited is None:
+            calls += 1
+        return augment(i, nbrs, match_right, trail, visited)
+
+    monkeypatch.setattr(draconian, "_kuhn_augment", counted)
+    assert count(generate(*spec)) == sequences
+    assert calls == augmentations
