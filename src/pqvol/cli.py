@@ -5,6 +5,11 @@ complete_bipartite:2,3, random_outerplanar:8 with --seed) or as edge-list
 files. Reports are deterministic for a fixed seed; timing lives in its own
 trailing section so the rest of the output is byte-stable.
 
+`nvol --trace` prints the derivation as a node table (recurrence.trace_rows):
+each distinct step once, children before parents, referred to by id. The
+text form starts with `# trace v2`; under --json the same rows sit in
+"trace": {"version": 2, "nodes": [...]}.
+
 Exit codes: 0 all comparisons passed, 1 some comparison failed, 2 the input
 could not be parsed, 3 a resource cap was hit.
 """
@@ -124,54 +129,6 @@ def main() -> None:
 # nvol
 
 
-def _trace_dict(node: recurrence.TraceNode) -> dict:
-    """One trace node as a JSON object; _json_text expands its children."""
-    return {
-        "rule": node.rule,
-        "fingerprint": node.fingerprint,
-        "n": node.n,
-        "m": node.m,
-        "value": node.value,
-        "detail": node.detail,
-        "children": list(node.children),
-    }
-
-
-def _json_text(obj) -> str:
-    """jsonlib.dumps(obj, indent=2, sort_keys=True), trace nodes included,
-    from an explicit stack: the json module recurses once per nesting level,
-    which deep traces exceed."""
-    out = []
-    stack = [(obj, 0)]  # (value, depth) to encode, or literal text
-    while stack:
-        top = stack.pop()
-        if isinstance(top, str):
-            out.append(top)
-            continue
-        value, depth = top
-        if isinstance(value, recurrence.TraceNode):
-            value = _trace_dict(value)
-        if isinstance(value, dict):
-            brackets, items = "{}", sorted(value.items())
-        elif isinstance(value, list):
-            brackets, items = "[]", [(None, v) for v in value]
-        else:
-            out.append(jsonlib.dumps(value))
-            continue
-        if not items:
-            out.append(brackets)
-            continue
-        out.append(brackets[0])
-        stack.append("\n" + "  " * depth + brackets[1])
-        pad = "\n" + "  " * (depth + 1)
-        for i in reversed(range(len(items))):
-            key, v = items[i]
-            stack.append((v, depth + 1))
-            label = "" if key is None else jsonlib.dumps(key) + ": "
-            stack.append(("," if i else "") + pad + label)
-    return "".join(out)
-
-
 @main.command("nvol")
 @click.argument("graph_spec")
 @click.option(
@@ -181,7 +138,7 @@ def _json_text(obj) -> str:
     show_default=True,
     help="auto applies recurrences; enumerate is pure oracle mode",
 )
-@click.option("--trace", "show_trace", is_flag=True, help="print the derivation tree")
+@click.option("--trace", "show_trace", is_flag=True, help="print the derivation, each step once")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=None, help="seed for random graph families")
 @click.option("--json", "as_json", is_flag=True)
@@ -200,8 +157,8 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
             "value": result.value,
         }
         if show_trace:
-            payload["trace"] = result.trace
-        click.echo(_json_text(payload))
+            payload["trace"] = {"version": 2, "nodes": recurrence.trace_rows(result.trace)}
+        click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
     else:
         click.echo(str(result.value))
         if show_trace:
@@ -272,6 +229,13 @@ def _suite_recurrences(n_max: int, seed: int, samples: int):
 
 
 def _suite_checkers(n_max: int, seed: int, samples: int):
+    # above the dense subset table check_subset enumerates cluster-connected
+    # subsets, which is exponential on these dense samples
+    if n_max > draconian._VECTOR_LIMIT:
+        raise draconian.ResourceCapExceeded(
+            f"checker samples on up to {n_max} vertices exceed the cap of "
+            f"{draconian._VECTOR_LIMIT}, the largest dense subset table"
+        )
     cases = []
     for n in range(1, min(n_max, 4) + 1):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -527,22 +527,6 @@ class BipartiteDouble:
     neighborhoods: tuple[int, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
-    def neighborhood_mask(self, i: int) -> int:
-        if not (1 <= i <= self.n):
-            raise ValueError(f"vertex {i} out of range for n={self.n}")
-        return self.neighborhoods[i - 1]
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """All (i, jbar) adjacencies as label pairs, sorted."""
-        out = []
-        for i, mask in enumerate(self.neighborhoods, start=1):
-            m = mask
-            while m:
-                b = m & -m
-                out.append((i, b.bit_length()))
-                m ^= b
-        return tuple(sorted(out))
-
     def __hash__(self) -> int:
         return hash((self.n, self.neighborhoods))
 

@@ -45,6 +45,7 @@ __all__ = [
     "stirling_identity_check",
     "subdivision_eligible",
     "subdivision_step",
+    "trace_rows",
     "triangle_eligible",
     "triangle_step",
     "wheel_conjecture_value",
@@ -348,19 +349,59 @@ class VolumeResult:
     trace: TraceNode
 
 
-def serialize_trace(node: TraceNode, indent: int = 0) -> str:
-    """One line per node in preorder, children indented two spaces deeper.
+def trace_rows(root: TraceNode) -> list[dict]:
+    """The trace as a node table: one row per distinct node, children first.
 
-    Shared nodes are written out in full wherever they occur. An explicit
-    stack walks the tree, so its depth is not bounded by the recursion limit.
+    Memo sharing makes a trace a DAG. Nodes are told apart by identity, so
+    no comparison recurses through a shared subtree, and an explicit stack
+    walks them left to right. A row's id is its index, each child id is
+    smaller than its parent's, and the root is the last row.
     """
-    lines = []
-    stack = [(node, indent)]
+    ids: dict[int, int] = {}
+    rows: list[dict] = []
+    stack = [root]
     while stack:
-        node, depth = stack.pop()
-        detail = f" [{node.detail}]" if node.detail else ""
-        lines.append(f"{'  ' * depth}{node.rule} {node.fingerprint} value={node.value}{detail}\n")
-        stack.extend((c, depth + 1) for c in reversed(node.children))
+        top = stack[-1]
+        if id(top) in ids:
+            stack.pop()
+            continue
+        pending = [c for c in top.children if id(c) not in ids]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        ids[id(top)] = len(rows)
+        rows.append(
+            {
+                "id": len(rows),
+                "rule": top.rule,
+                "fingerprint": top.fingerprint,
+                "n": top.n,
+                "m": top.m,
+                "value": top.value,
+                "detail": top.detail,
+                "children": [ids[id(c)] for c in top.children],
+            }
+        )
+    return rows
+
+
+def serialize_trace(node: TraceNode) -> str:
+    """The node table as text: a `# trace v2` line, then one line per row,
+
+        n<id> <rule> <fingerprint> value=<v>[ [detail]][ <- n<c1> n<c2> ...]
+
+    children before parents and the root last, so each shared node is
+    written once however often it is used.
+    """
+    lines = ["# trace v2\n"]
+    for row in trace_rows(node):
+        line = f"n{row['id']} {row['rule']} {row['fingerprint']} value={row['value']}"
+        if row["detail"]:
+            line += f" [{row['detail']}]"
+        if row["children"]:
+            line += " <-" + "".join(f" n{c}" for c in row["children"])
+        lines.append(line + "\n")
     return "".join(lines)
 
 
@@ -378,31 +419,21 @@ def _combine(rule: str, values: list[int]) -> int:
 def replay_trace(node: TraceNode) -> int:
     """Recompute the value from the leaves; raises on arithmetic mismatch.
 
-    Memo sharing makes a trace a DAG, so each distinct node is replayed once,
-    after its children, from an explicit stack.
+    Values are recombined over the rows of trace_rows in row order, so each
+    distinct node is checked once, as the trace writers print it.
     """
-    replayed: dict[int, int] = {}
-    stack = [node]
-    while stack:
-        top = stack[-1]
-        if id(top) in replayed:
-            stack.pop()
-            continue
-        pending = [c for c in top.children if id(c) not in replayed]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        value = top.value
-        if top.children:
-            value = _combine(top.rule, [replayed[id(c)] for c in top.children])
-            if value != top.value:
+    replayed: list[int] = []
+    for row in trace_rows(node):
+        value = row["value"]
+        if row["children"]:
+            value = _combine(row["rule"], [replayed[c] for c in row["children"]])
+            if value != row["value"]:
                 raise ValueError(
-                    f"trace mismatch at {top.rule} {top.fingerprint}: "
-                    f"stored {top.value}, replayed {value}"
+                    f"trace mismatch at {row['rule']} {row['fingerprint']}: "
+                    f"stored {row['value']}, replayed {value}"
                 )
-        replayed[id(top)] = value
-    return replayed[id(node)]
+        replayed.append(value)
+    return replayed[-1]
 
 
 # Keyed by (oracle mode, enumeration cap, n, sorted edges), so the two

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
 
-from pqvol import cli, draconian
+from pqvol import cli, draconian, recurrence
 from pqvol.graphs import generate, write_edge_list
 
 
@@ -51,10 +52,13 @@ def test_json_trace_bytes_match_the_json_module(runner, args):
 def test_nvol_trace_lists_rules(runner):
     result = runner.invoke(cli.main, ["nvol", "path:4", "--trace"])
     assert result.exit_code == 0
-    lines = result.output.splitlines()
-    assert lines[0] == "8"
-    assert lines[1].startswith("block-product ")
-    assert sum("closed-form:edge" in ln for ln in lines) == 3
+    # the three edge blocks are one memo node, written once and used thrice
+    assert result.output == (
+        "8\n"
+        "# trace v2\n"
+        "n0 closed-form:edge g2m1:92bf1f26ca1b value=2\n"
+        "n1 block-product g4m3:3f2ae15decc6 value=8 <- n0 n0 n0\n"
+    )
 
 
 def test_nvol_json(runner):
@@ -62,7 +66,42 @@ def test_nvol_json(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["value"] == 20
-    assert payload["trace"]["rule"] == "closed-form:complete-minus-matching"
+    assert payload["trace"] == {
+        "version": 2,
+        "nodes": [
+            {
+                "id": 0,
+                "rule": "closed-form:complete-minus-matching",
+                "fingerprint": "g4m6:350970617bed",
+                "n": 4,
+                "m": 6,
+                "value": 20,
+                "detail": "n=4 k=0",
+                "children": [],
+            }
+        ],
+    }
+
+
+def test_trace_prints_each_distinct_node_once(runner):
+    trace = recurrence.nvol(generate("random_outerplanar", 120, seed=7)).trace
+    distinct, stack = set(), [trace]
+    while stack:
+        node = stack.pop()
+        if id(node) not in distinct:
+            distinct.add(id(node))
+            stack.extend(node.children)
+    # the memo is warm, so this times the writer; writing each shared
+    # subtree wherever it is used would take about 1 GB for this graph
+    start = time.perf_counter()
+    result = runner.invoke(cli.main, ["nvol", "random_outerplanar:120", "--seed", "7", "--trace"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0
+    value, header, *rows = result.output.splitlines()
+    assert header == "# trace v2"
+    assert len(rows) == len(distinct) == 711
+    assert rows[-1].startswith(f"n710 {trace.rule} {trace.fingerprint} value={value} ")
+    assert elapsed < 2.0
 
 
 def test_nvol_strategies_agree(runner):
@@ -217,6 +256,15 @@ def test_checker_suite_stays_within_n_max(runner, n_max):
     sizes = [int(re.match(r"(exhaustive n=|random g)(\d+)", name)[2]) for name in names]
     assert len(sizes) == min(n_max, 4) + 3
     assert max(sizes) == n_max
+
+
+def test_checker_suite_above_the_dense_subset_table_exits_3(runner):
+    # check_subset is exponential above the table, so no sample is drawn
+    result = runner.invoke(
+        cli.main, ["verify", "checkers", "--n-max", "23", "--samples", "2", "--seed", "1"]
+    )
+    assert result.exit_code == 3
+    assert "exceed the cap of 22" in result.output
 
 
 def test_verify_rejects_unknown_suite(runner):

@@ -204,5 +204,4 @@ def test_build_double_neighborhoods():
     d = build_double(c3)
     assert isinstance(d, BipartiteDouble)
     # the mirror of i plus the mirrors of its neighbors
-    assert d.neighborhood_mask(1) == 0b111
-    assert sorted(d.edges()) == [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    assert d.neighborhoods == (0b111, 0b111, 0b111)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 import time
 from dataclasses import replace
@@ -241,15 +243,60 @@ def test_enumerate_strategy_matches_auto_and_bypasses_rules():
         nvol(g, strategy="guess")
 
 
+_TRACE_ROW = re.compile(
+    r"n(\d+) (\S+) (g\d+m\d+:[0-9a-f]{12}) value=(\d+)(?: \[[^\]]*\])?((?: <-(?: n\d+)+)?)"
+)
+
+
+def _replay_text(text):
+    """Root value of a serialized trace, recombined from the text alone."""
+    header, *lines = text.splitlines()
+    assert header == "# trace v2"
+    values, referenced = [], set()
+    for i, line in enumerate(lines):
+        row = _TRACE_ROW.fullmatch(line)
+        assert row and int(row[1]) == i, line
+        rule, stored = row[2], int(row[4])
+        kids = [int(c[1:]) for c in row[5].split()[1:]]
+        assert all(c < i for c in kids), line
+        referenced.update(kids)
+        got = [values[c] for c in kids]
+        if not kids:
+            value = stored
+        elif rule in ("component-product", "block-product"):
+            value = math.prod(got)
+        elif rule == "reverse-subdivision":
+            value = 2 * got[0] + got[1]
+        else:
+            assert rule == "reverse-triangle", line
+            value = 3 * got[0]
+        assert value == stored, line
+        values.append(value)
+    # every row but the last is some later row's child: the last is the root
+    assert referenced == set(range(len(lines) - 1))
+    return values[-1]
+
+
 def test_trace_serialization_and_replay():
     bowtie = from_edge_list(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
-    for g in (bowtie, generate("wheel", 4), generate("path", 5)):
+    for g in (bowtie, generate("wheel", 4), generate("path", 5), _subdivided_k4(40)):
         res = nvol(g)
         assert replay_trace(res.trace) == res.value
-        text = serialize_trace(res.trace)
-        assert f"value={res.value}" in text.splitlines()[0]
+        assert _replay_text(serialize_trace(res.trace)) == res.value
     # identical input, identical serialized trace
     assert serialize_trace(nvol(bowtie).trace) == serialize_trace(nvol(bowtie).trace)
+
+
+def test_trace_table_bytes_do_not_depend_on_the_memo():
+    shared = generate("random_outerplanar", 25, seed=3)
+    g = disjoint_union(generate("path", 3), shared)
+    clear_memo()
+    cold = serialize_trace(nvol(g).trace)
+    clear_memo()
+    warm = nvol(shared).trace
+    trace = nvol(g).trace
+    assert any(c is warm for c in trace.children)
+    assert serialize_trace(trace) == cold
 
 
 def test_memo_is_reused_and_clearable():
@@ -309,17 +356,25 @@ def test_deep_trace_writers_need_no_recursion(tmp_path):
         result = CliRunner().invoke(cli.main, ["nvol", str(path), "--json", "--trace"])
     finally:
         sys.setrecursionlimit(limit)
-    # shared nodes are written in full, so count nodes of the expanded tree
-    expanded, stack = 0, [trace]
+    # each distinct node, told apart by identity, is written once
+    distinct, stack = set(), [trace]
     while stack:
-        expanded += 1
-        stack.extend(stack.pop().children)
-    assert len(text.splitlines()) == expanded
-    assert text.startswith(f"{trace.rule} {trace.fingerprint} value={trace.value} ")
+        node = stack.pop()
+        if id(node) not in distinct:
+            distinct.add(id(node))
+            stack.extend(node.children)
+    header, *rows = text.splitlines()
+    assert header == "# trace v2"
+    assert len(rows) == len(distinct)
+    root = f"n{len(rows) - 1} {trace.rule} {trace.fingerprint} value={trace.value} "
+    assert rows[-1].startswith(root)
     assert result.exit_code == 0, result.output[-500:]
     payload = json.loads(result.output)
-    assert payload["value"] == payload["trace"]["value"] == trace.value
-    assert result.output.count('"rule": ') == expanded
+    nodes = payload["trace"]["nodes"]
+    assert payload["trace"]["version"] == 2
+    assert len(nodes) == len(distinct)
+    assert payload["value"] == nodes[-1]["value"] == trace.value
+    assert result.output.count('"rule": ') == len(distinct)
 
 
 def test_replay_checks_each_shared_node_once():
