@@ -10,13 +10,14 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from pqvol import cli
+from pqvol import cli, draconian
 from pqvol.draconian import EnumerationConfig, ResourceCapExceeded, count, enumerate_draconian
 from pqvol.graphs import (
     delete_edge,
     disjoint_union,
     from_edge_list,
     generate,
+    is_two_connected,
     subdivide,
     triangle_join,
     write_edge_list,
@@ -38,6 +39,8 @@ from pqvol.recurrence import (
     triangle_step,
     wheel_conjecture_value,
 )
+
+from conftest import connected_catalog
 
 # the 4-vertex diamond-plus-edge on which both naive recurrence guesses fail
 QUARTET_BASE = from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
@@ -158,6 +161,42 @@ def test_step_hypothesis_violations_raise():
 def test_degree_two_endpoint_tie_break():
     ident, _ = subdivision_step(generate("cycle", 4), (1, 2))
     assert ident.holds
+
+
+def test_witnesses_cover_every_degree_two_endpoint_up_to_6():
+    # every edge of every connected graph with n <= 6, at each endpoint of
+    # degree 2: the triangle join always, the subdivision on 2-connected graphs
+    cases = 0
+    for g in connected_catalog(6):
+        steps = [(triangle_step, triangle_join)]
+        if is_two_connected(g):
+            steps.append((subdivision_step, subdivide))
+        for e in g.sorted_edges:
+            for u in e:
+                if g.degree(u) != 2:
+                    continue
+                for step, transform in steps:
+                    ident, wit = step(g, e, u)
+                    target = enumerate_draconian(transform(g, e)).entry_set()
+                    assert ident.holds and ident.transformed_count == len(target)
+                    assert wit.is_exact_cover_of(target), (g.sorted_edges, e, u)
+                    cases += 1
+    assert cases == 692
+
+
+def test_subdivision_step_lists_two_graphs_and_counts_one(monkeypatch):
+    calls = {"enumerate_draconian": [], "count": []}
+    for name in calls:
+        real = getattr(draconian, name)
+
+        def wrapped(g, *args, _real=real, _name=name, **kwargs):
+            calls[_name].append(g.n)
+            return _real(g, *args, **kwargs)
+
+        monkeypatch.setattr(draconian, name, wrapped)
+    ident, _ = subdivision_step(generate("cycle", 5), (1, 2))
+    assert ident.holds
+    assert calls == {"enumerate_draconian": [5, 5], "count": [6]}
 
 
 def test_counterexample_family_values():
