@@ -7,8 +7,11 @@ trailing section so the rest of the output is byte-stable.
 
 `nvol --trace` prints the derivation as a node table (recurrence.trace_rows):
 each distinct step once, children before parents, referred to by id. The
-text form starts with `# trace v2`; under --json the same rows sit in
-"trace": {"version": 2, "nodes": [...]}.
+text form starts with `# trace v3`; under --json the same rows sit in
+"trace": {"version": 3, "nodes": [...]}. Version 3 undoes a whole degree-2
+thread in one reverse-subdivision step: its children are (G_1, H), its
+detail is `x=<x> k=<k>` and its JSON row carries the thread length as "k",
+so a version 2 reader would recombine those rows wrongly.
 
 Exit codes: 0 all comparisons passed, 1 some comparison failed, 2 the input
 could not be parsed, 3 a resource cap was hit.
@@ -157,7 +160,7 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
             "value": result.value,
         }
         if show_trace:
-            payload["trace"] = {"version": 2, "nodes": recurrence.trace_rows(result.trace)}
+            payload["trace"] = {"version": 3, "nodes": recurrence.trace_rows(result.trace)}
         click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
     else:
         click.echo(str(result.value))
@@ -409,6 +412,12 @@ def _record_line(rec: dict) -> str:
 
 
 def _scan_wheels(n_max: int, seed: int, samples: int, workers: int):
+    # wheel:n has n + 1 vertices: refuse before counting the smaller wheels
+    cap = draconian.EnumerationConfig().max_n
+    if n_max + 1 > cap:
+        raise draconian.ResourceCapExceeded(
+            f"wheel:{n_max} has {n_max + 1} vertices, above the enumeration cap of {cap}"
+        )
     records = []
     for n in range(3, n_max + 1):
         g = generate("wheel", n)

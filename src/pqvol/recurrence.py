@@ -3,8 +3,9 @@
 The planner computes the normalized volume of the adjacency polytope of a
 graph by decomposing into connected components and blocks, matching blocks
 against closed-form families, applying the outer-face formula, undoing
-subdivision and triangle moves, and finally falling back to direct
-enumeration. Every result carries a derivation trace that can be replayed.
+triangle joins and whole degree-2 threads (one step per thread, however
+long), and finally falling back to direct enumeration. Every result carries
+a derivation trace that can be replayed.
 
 The subdivision and triangle-join recurrences share one bijection
 construction (_witness): each step lists D(g), the subdivision step also
@@ -19,15 +20,14 @@ from math import comb, prod
 from . import draconian, outerplanar
 from .graphs import (
     Graph,
-    add_edge,
     block_subgraphs,
     connected_components,
     delete_edge,
     delete_vertex,
+    from_edge_list,
     graph_fingerprint,
     induced_subgraph,
     is_two_connected,
-    relabel_map_after_delete,
     subdivide,
     triangle_join,
 )
@@ -311,7 +311,11 @@ def triangle_step(
 
 @dataclass(frozen=True)
 class TraceNode:
-    """One derivation step: the rule applied, the graph, and the value."""
+    """One derivation step: the rule applied, the graph, and the value.
+
+    k is the thread length of a reverse-subdivision step, which its value
+    needs besides its children's values; it is None on every other rule.
+    """
 
     rule: str
     fingerprint: str
@@ -320,6 +324,7 @@ class TraceNode:
     value: int
     detail: str = ""
     children: tuple[TraceNode, ...] = ()
+    k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -334,7 +339,8 @@ def trace_rows(root: TraceNode) -> list[dict]:
     Memo sharing makes a trace a DAG. Nodes are told apart by identity, so
     no comparison recurses through a shared subtree, and an explicit stack
     walks them left to right. A row's id is its index, each child id is
-    smaller than its parent's, and the root is the last row.
+    smaller than its parent's, and the root is the last row. Only
+    reverse-subdivision rows have a "k" key, the thread length.
     """
     ids: dict[int, int] = {}
     rows: list[dict] = []
@@ -350,30 +356,32 @@ def trace_rows(root: TraceNode) -> list[dict]:
             continue
         stack.pop()
         ids[id(top)] = len(rows)
-        rows.append(
-            {
-                "id": len(rows),
-                "rule": top.rule,
-                "fingerprint": top.fingerprint,
-                "n": top.n,
-                "m": top.m,
-                "value": top.value,
-                "detail": top.detail,
-                "children": [ids[id(c)] for c in top.children],
-            }
-        )
+        row = {
+            "id": len(rows),
+            "rule": top.rule,
+            "fingerprint": top.fingerprint,
+            "n": top.n,
+            "m": top.m,
+            "value": top.value,
+            "detail": top.detail,
+            "children": [ids[id(c)] for c in top.children],
+        }
+        if top.k is not None:
+            row["k"] = top.k
+        rows.append(row)
     return rows
 
 
 def serialize_trace(node: TraceNode) -> str:
-    """The node table as text: a `# trace v2` line, then one line per row,
+    """The node table as text: a `# trace v3` line, then one line per row,
 
         n<id> <rule> <fingerprint> value=<v>[ [detail]][ <- n<c1> n<c2> ...]
 
     children before parents and the root last, so each shared node is
-    written once however often it is used.
+    written once however often it is used. A reverse-subdivision row's
+    detail is `x=<x> k=<k>`.
     """
-    lines = ["# trace v2\n"]
+    lines = ["# trace v3\n"]
     for row in trace_rows(node):
         line = f"n{row['id']} {row['rule']} {row['fingerprint']} value={row['value']}"
         if row["detail"]:
@@ -384,12 +392,19 @@ def serialize_trace(node: TraceNode) -> str:
     return "".join(lines)
 
 
-def _combine(rule: str, values: list[int]) -> int:
-    """Value of a node from its children's values, by the node's rule."""
+def _combine(rule: str, values: list[int], k: int | None) -> int:
+    """Value of a node from its children's values, by the node's rule.
+
+    A reverse-subdivision node also needs its thread length k (see
+    _reverse_move); its children are (G_1, H).
+    """
     if rule in ("component-product", "block-product"):
         return prod(values)
     if rule == "reverse-subdivision":
-        return 2 * values[0] + values[1]
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"reverse-subdivision needs a thread length k >= 2, got {k!r}")
+        g1, h = values
+        return (g1 + (k - 1) * h) << (k - 1)
     if rule == "reverse-triangle":
         return 3 * values[0]
     raise ValueError(f"unknown combination rule {rule!r}")
@@ -399,13 +414,15 @@ def replay_trace(node: TraceNode) -> int:
     """Recompute the value from the leaves; raises on arithmetic mismatch.
 
     Values are recombined over the rows of trace_rows in row order, so each
-    distinct node is checked once, as the trace writers print it.
+    distinct node is checked once, as the trace writers print it. A
+    reverse-subdivision row's thread length is read from its "k" field.
     """
     replayed: list[int] = []
     for row in trace_rows(node):
         value = row["value"]
         if row["children"]:
-            value = _combine(row["rule"], [replayed[c] for c in row["children"]])
+            kids = [replayed[c] for c in row["children"]]
+            value = _combine(row["rule"], kids, row.get("k"))
             if value != row["value"]:
                 raise ValueError(
                     f"trace mismatch at {row['rule']} {row['fingerprint']}: "
@@ -455,13 +472,42 @@ def _match_k2m(g: Graph) -> bool:
     return True
 
 
-def _reverse_move(g: Graph):
-    """First applicable reverse step on a 2-connected block, or None.
+def _thread_walk(g: Graph, x: int, nxt: int) -> tuple[list[int], int]:
+    """Degree-2 vertices met walking from x through nxt, and the vertex that
+    ends the walk: the first one of another degree, or x itself on a cycle."""
+    inner, prev = [], x
+    while nxt != x and g.degree(nxt) == 2:
+        inner.append(nxt)
+        p, q = g.neighbors(nxt)
+        prev, nxt = nxt, q if p == prev else p
+    return inner, nxt
 
-    Scanning degree-2 vertices in label order: a vertex whose neighbors are
-    adjacent undoes a triangle join when one neighbor drops to degree 2; one
-    whose neighbors are non-adjacent undoes a subdivision when one neighbor
-    has degree 2.
+
+def _reverse_move(g: Graph):
+    """First reverse step on a 2-connected block: (rule, detail, k, children).
+
+    Degree-2 vertices x are scanned in label order. If the neighbors of x
+    are adjacent and one of them has degree 3, x undoes a triangle join. If
+    they are non-adjacent and one has degree 2, x lies on a maximal thread
+    a - x_1 - ... - x_k - b (k >= 2) of degree-2 vertices, and x is its
+    smallest label. The whole thread is undone in one step with children
+    G_1, which is g with x_1..x_k replaced by x alone (adjacent to a and b),
+    and H, which is g without x_1..x_k:
+
+        V(g) = 2^(k-1) * (V(G_1) + (k-1) * V(H)).
+
+    Derivation: let G_j be g with the thread cut to j vertices, so g = G_k.
+    For j >= 1 every thread edge of G_j has a degree-2 endpoint and G_j is
+    2-connected, so the paper's subdivision recurrence gives V(G_{j+1}) =
+    2 V(G_j) + V(G_j minus a thread edge). G_j minus a thread edge is H with
+    j pendant vertices on paths hanging at a and b; each adds a bridge,
+    which doubles the value, so V(G_{j+1}) = 2 V(G_j) + 2^j V(H). Unrolling
+    from j = 1 to k - 1 gives the formula. For k = 2 it is 2 V(G_1) +
+    V(g - x), the single subdivision step, since g - x is H plus a pendant
+    vertex.
+
+    None when no vertex qualifies. On a cycle block the walk returns to x
+    and the result is None too; closed-form:cycle fires before this anyway.
     """
     for x in range(1, g.n + 1):
         if g.degree(x) != 2:
@@ -469,63 +515,67 @@ def _reverse_move(g: Graph):
         v, w = g.neighbors(x)
         if g.has_edge(v, w):
             if g.degree(v) == 3 or g.degree(w) == 3:
-                return "triangle", x, None
+                return "reverse-triangle", f"x={x}", None, (delete_vertex(g, x),)
         elif g.degree(v) == 2 or g.degree(w) == 2:
-            smaller = delete_vertex(g, x)
-            remap = relabel_map_after_delete(g.n, x)
-            bridged = add_edge(smaller, (remap[v], remap[w]))
-            # g is bridged with vw subdivided: no cut vertex appears or vanishes
-            return "subdivision", x, (bridged, smaller)
+            left, a = _thread_walk(g, x, v)
+            if a == x:
+                return None
+            right, b = _thread_walk(g, x, w)
+            inner = {x, *left, *right}
+            k = len(inner)
+            rest = [u for u in range(1, g.n + 1) if u not in inner]
+            bridged = from_edge_list(g.n, [*g.edges, (a, x), (x, b)])
+            g1 = induced_subgraph(bridged, sorted([*rest, x]))
+            return "reverse-subdivision", f"x={x} k={k}", k, (g1, induced_subgraph(g, rest))
     return None
 
 
 def _step(g: Graph, oracle: bool, workers: int, config):
-    """One planner step on g: (rule, detail, child graphs, leaf value).
+    """One planner step on g: (rule, detail, k, child graphs, leaf value).
 
     A leaf has no children and carries its value; any other node gets its
-    value from _combine over its children's values. In oracle mode the step
-    stops after the component split and enumerates.
+    value from _combine over its children's values and k, the thread length
+    of a reverse-subdivision step (None for every other rule). In oracle
+    mode the step stops after the component split and enumerates.
     """
     comps = connected_components(g)
     if len(comps) > 1:
-        return "component-product", "", [induced_subgraph(g, c) for c in comps], None
+        return "component-product", "", None, [induced_subgraph(g, c) for c in comps], None
     if oracle:
-        return "enumeration", "", (), draconian.count(g, workers=workers, config=config)
+        return "enumeration", "", None, (), draconian.count(g, workers=workers, config=config)
     if g.n == 1:
-        return "closed-form:vertex", "", (), 1
+        return "closed-form:vertex", "", None, (), 1
 
     blocks = block_subgraphs(g)
     if len(blocks) > 1:
-        return "block-product", "", blocks, None
+        return "block-product", "", None, blocks, None
 
     # g is a single 2-connected block from here on.
     if g.n == 2:
-        return "closed-form:edge", "", (), 2
+        return "closed-form:edge", "", None, (), 2
     if _match_cycle(g):
-        return "closed-form:cycle", f"n={g.n}", (), nvol_cycle(g.n)
+        return "closed-form:cycle", f"n={g.n}", None, (), nvol_cycle(g.n)
     k = _match_complete_minus_matching(g)
     if k is not None:
         return (
             "closed-form:complete-minus-matching",
             f"n={g.n} k={k}",
+            None,
             (),
             nvol_complete_minus_matching(g.n, k),
         )
     if _match_k2m(g):
-        return "closed-form:k2m", f"n={g.n}", (), nvol_k2m(g.n)
+        return "closed-form:k2m", f"n={g.n}", None, (), nvol_k2m(g.n)
 
     formula = outerplanar._block_value(g)  # (value, conjectural), or None
     if formula is not None and not formula[1]:
-        return "outerplanar-formula", "", (), formula[0]
+        return "outerplanar-formula", "", None, (), formula[0]
 
     move = _reverse_move(g)
     if move is not None:
-        kind, x, payload = move
-        if kind == "triangle":
-            return "reverse-triangle", f"x={x}", (delete_vertex(g, x),), None
-        return "reverse-subdivision", f"x={x}", payload, None
+        return (*move, None)
 
-    return "enumeration", "", (), draconian.count(g, workers=workers, config=config)
+    return "enumeration", "", None, (), draconian.count(g, workers=workers, config=config)
 
 
 def _plan(g: Graph, oracle: bool, workers: int, config) -> TraceNode:
@@ -536,29 +586,29 @@ def _plan(g: Graph, oracle: bool, workers: int, config) -> TraceNode:
     depth; a step leaves it once its last child is done.
     """
     max_n = (config or draconian.EnumerationConfig()).max_n
-    stack = []  # (memo key, graph, rule, detail, child graphs, child nodes)
+    stack = []  # (memo key, graph, rule, detail, k, child graphs, child nodes)
     todo = g
     while True:
         key = (oracle, max_n, todo.n, todo.sorted_edges)
         node = _MEMO.get(key)
         if node is None:
-            rule, detail, kids, value = _step(todo, oracle, workers, config)
+            rule, detail, k, kids, value = _step(todo, oracle, workers, config)
             if kids:
-                stack.append((key, todo, rule, detail, kids, []))
+                stack.append((key, todo, rule, detail, k, kids, []))
                 todo = kids[0]
                 continue
             node = _MEMO[key] = TraceNode(
                 rule, graph_fingerprint(todo), todo.n, todo.m, value, detail
             )
         while stack:
-            key, h, rule, detail, kids, done = stack[-1]
+            key, h, rule, detail, k, kids, done = stack[-1]
             done.append(node)
             if len(done) < len(kids):
                 break
             stack.pop()
-            value = _combine(rule, [c.value for c in done])
+            value = _combine(rule, [c.value for c in done], k)
             node = _MEMO[key] = TraceNode(
-                rule, graph_fingerprint(h), h.n, h.m, value, detail, tuple(done)
+                rule, graph_fingerprint(h), h.n, h.m, value, detail, tuple(done), k
             )
         else:
             return node

@@ -55,7 +55,7 @@ def test_nvol_trace_lists_rules(runner):
     # the three edge blocks are one memo node, written once and used thrice
     assert result.output == (
         "8\n"
-        "# trace v2\n"
+        "# trace v3\n"
         "n0 closed-form:edge g2m1:92bf1f26ca1b value=2\n"
         "n1 block-product g4m3:3f2ae15decc6 value=8 <- n0 n0 n0\n"
     )
@@ -67,7 +67,7 @@ def test_nvol_json(runner):
     payload = json.loads(result.output)
     assert payload["value"] == 20
     assert payload["trace"] == {
-        "version": 2,
+        "version": 3,
         "nodes": [
             {
                 "id": 0,
@@ -98,9 +98,9 @@ def test_trace_prints_each_distinct_node_once(runner):
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
     value, header, *rows = result.output.splitlines()
-    assert header == "# trace v2"
-    assert len(rows) == len(distinct) == 711
-    assert rows[-1].startswith(f"n710 {trace.rule} {trace.fingerprint} value={value} ")
+    assert header == "# trace v3"
+    assert len(rows) == len(distinct) == 94
+    assert rows[-1].startswith(f"n93 {trace.rule} {trace.fingerprint} value={value} ")
     assert elapsed < 2.0
 
 
@@ -280,6 +280,17 @@ def test_scan_wheels(runner):
     assert all("agree=yes" in ln for ln in records)
     assert "label=wheel:6 formula=666 oracle=666" in result.output
     assert "result: all-agree 4/4 records" in result.output
+
+
+def test_scan_wheels_above_the_cap_exits_3_before_counting(runner, monkeypatch):
+    # wheel:18 has 19 vertices; counting wheel:3..17 first would take hours
+    def refuse(*args, **kwargs):
+        raise AssertionError("draconian.count must not run")
+
+    monkeypatch.setattr(draconian, "count", refuse)
+    result = runner.invoke(cli.main, ["scan", "wheels", "--n-max", "18"])
+    assert result.exit_code == 3
+    assert "wheel:18 has 19 vertices, above the enumeration cap of 18" in result.output
 
 
 def test_scan_records_sorted_and_worker_independent(runner):

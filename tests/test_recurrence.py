@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from pqvol import cli, draconian
+from pqvol import cli, draconian, recurrence
 from pqvol.draconian import EnumerationConfig, ResourceCapExceeded, count, enumerate_draconian
 from pqvol.graphs import (
     delete_edge,
@@ -35,6 +35,7 @@ from pqvol.recurrence import (
     stirling_identity_check,
     subdivision_eligible,
     subdivision_step,
+    trace_rows,
     triangle_eligible,
     triangle_step,
     wheel_conjecture_value,
@@ -290,7 +291,7 @@ _TRACE_ROW = re.compile(
 def _replay_text(text):
     """Root value of a serialized trace, recombined from the text alone."""
     header, *lines = text.splitlines()
-    assert header == "# trace v2"
+    assert header == "# trace v3"
     values, referenced = [], set()
     for i, line in enumerate(lines):
         row = _TRACE_ROW.fullmatch(line)
@@ -305,7 +306,8 @@ def _replay_text(text):
         elif rule in ("component-product", "block-product"):
             value = math.prod(got)
         elif rule == "reverse-subdivision":
-            value = 2 * got[0] + got[1]
+            k = int(re.fullmatch(r".* \[x=\d+ k=(\d+)\](?: <-.*)?", line)[1])
+            value = 2 ** (k - 1) * (got[0] + (k - 1) * got[1])
         else:
             assert rule == "reverse-triangle", line
             value = 3 * got[0]
@@ -360,7 +362,7 @@ def test_memo_respects_the_enumeration_cap():
 
 def _subdivided_k4(times):
     # K4 whose edge 1-2 becomes a path: each step subdivides the edge between
-    # vertex 1 and the newest vertex, so reverse moves nest `times` deep
+    # vertex 1 and the newest vertex, so 5..4+times form one degree-2 thread
     g, newest = generate("complete", 4), 2
     for _ in range(times):
         g = subdivide(g, (1, newest))
@@ -368,22 +370,46 @@ def _subdivided_k4(times):
     return g
 
 
+def _stacked_triangles(times):
+    # K4 with edge 1-2 subdivided by vertex 5, then `times` triangles, each
+    # joined on vertex 1 and the newest vertex, so reverse triangle steps
+    # nest `times` deep above the subdivided K4
+    g, newest = _subdivided_k4(1), 5
+    for _ in range(times):
+        g = triangle_join(g, (1, newest))
+        newest = g.n
+    return g
+
+
+def _first_child_rules(node):
+    rules = []
+    while node.children:
+        rules.append(node.rule)
+        node = node.children[0]
+    return rules
+
+
 def test_deep_reverse_move_chain_needs_no_recursion():
-    g = _subdivided_k4(200)
+    g = _stacked_triangles(200)
     clear_memo()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(300)
     try:
         res = nvol(g)
         replayed = replay_trace(res.trace)
+        chain = nvol(_subdivided_k4(200))
+        chain_replayed = replay_trace(chain.trace)
     finally:
         sys.setrecursionlimit(limit)
+    assert _first_child_rules(res.trace) == ["reverse-triangle"] * 200
+    # the subdivided K4 is 2 * 20 + 18: K4 and K4 minus an edge
+    assert res.value == replayed == 3**200 * 58
     want = 2924627240551362301486371008060915936590409448684682960248504320
-    assert res.value == replayed == want
+    assert chain.value == chain_replayed == want
 
 
 def test_deep_trace_writers_need_no_recursion(tmp_path):
-    g = _subdivided_k4(200)
+    g = _stacked_triangles(200)
     path = tmp_path / "chain.txt"
     write_edge_list(g, path)
     clear_memo()
@@ -403,17 +429,20 @@ def test_deep_trace_writers_need_no_recursion(tmp_path):
             distinct.add(id(node))
             stack.extend(node.children)
     header, *rows = text.splitlines()
-    assert header == "# trace v2"
+    assert header == "# trace v3"
     assert len(rows) == len(distinct)
+    assert sum(" reverse-triangle " in row for row in rows) == 200
     root = f"n{len(rows) - 1} {trace.rule} {trace.fingerprint} value={trace.value} "
     assert rows[-1].startswith(root)
     assert result.exit_code == 0, result.output[-500:]
     payload = json.loads(result.output)
     nodes = payload["trace"]["nodes"]
-    assert payload["trace"]["version"] == 2
+    assert payload["trace"]["version"] == 3
     assert len(nodes) == len(distinct)
     assert payload["value"] == nodes[-1]["value"] == trace.value
     assert result.output.count('"rule": ') == len(distinct)
+    # only reverse-subdivision rows carry a thread length, and there are none
+    assert not any("k" in n for n in nodes)
 
 
 def test_replay_checks_each_shared_node_once():
@@ -430,11 +459,119 @@ def test_replay_rejects_a_corrupted_deep_node():
         first, *rest = node.children
         return replace(node, children=(corrupt(first, depth - 1), *rest))
 
-    trace = nvol(_subdivided_k4(40)).trace
+    trace = nvol(_stacked_triangles(40)).trace
     with pytest.raises(ValueError, match="trace mismatch"):
         replay_trace(corrupt(trace, 30))
     with pytest.raises(ValueError, match="unknown combination rule"):
         replay_trace(replace(trace, rule="guess"))
+
+
+def test_replay_reads_the_thread_length_from_its_field():
+    trace = nvol(_subdivided_k4(40)).trace
+    assert (trace.rule, trace.detail, trace.k) == ("reverse-subdivision", "x=5 k=40", 40)
+    assert trace_rows(trace)[-1]["k"] == 40
+    # the detail is free text: replay neither parses nor needs it
+    assert replay_trace(replace(trace, detail="")) == trace.value
+    for k in (39, 41):
+        with pytest.raises(ValueError, match="trace mismatch"):
+            replay_trace(replace(trace, k=k))
+    with pytest.raises(ValueError, match="thread length"):
+        replay_trace(replace(trace, k=None))
+
+
+def test_thread_chain_plans_in_a_few_steps(monkeypatch):
+    # one reverse-subdivision step for the whole 600-vertex thread, then the
+    # subdivided K4 and K4 minus an edge
+    steps = []
+    real_step = recurrence._step
+
+    def counted(g, *args):
+        steps.append(g.n)
+        return real_step(g, *args)
+
+    monkeypatch.setattr(recurrence, "_step", counted)
+    g = _subdivided_k4(600)
+    clear_memo()
+    start = time.perf_counter()
+    res = nvol(g)
+    elapsed = time.perf_counter() - start
+    assert len(steps) <= 5
+    assert elapsed < 0.5
+    assert (res.trace.rule, res.trace.k) == ("reverse-subdivision", 600)
+    assert res.value == replay_trace(res.trace) == (58 + 599 * 18) << 599
+
+
+def test_reverse_move_walk_stops_on_a_cycle():
+    # closed-form:cycle fires first in the planner; the walk must end anyway
+    assert recurrence._reverse_move(generate("cycle", 7)) is None
+
+
+def _thread_length(g, x):
+    """Size of the component of x among the degree-2 vertices of g."""
+    seen, stack = {x}, [x]
+    while stack:
+        for y in g.neighbors(stack.pop()):
+            if g.degree(y) == 2 and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen)
+
+
+def _check_thread_rows(trace):
+    rows = trace_rows(trace)
+    for row in rows:
+        if row["rule"] == "reverse-subdivision":
+            g1, h = (rows[c] for c in row["children"])
+            # G_1 keeps one of the k thread vertices, H none of them
+            assert row["n"] - g1["n"] + 1 == row["n"] - h["n"] == row["k"]
+            assert row["detail"].endswith(f" k={row['k']}")
+        else:
+            assert "k" not in row
+
+
+def test_thread_rule_matches_enumeration_on_the_catalog():
+    checked = 0
+    for g in connected_catalog(7):
+        degrees = [g.degree(v) for v in range(1, g.n + 1)]
+        if not is_two_connected(g) or g.n < 3 or set(degrees) == {2}:
+            continue
+        if not any(
+            g.degree(x) == 2 and any(g.degree(y) == 2 for y in g.neighbors(x))
+            for x in range(1, g.n + 1)
+        ):
+            continue
+        res = nvol(g)
+        assert res.value == count(g), g.sorted_edges
+        _check_thread_rows(res.trace)
+        rule, detail, k, kids = recurrence._reverse_move(g)
+        if rule != "reverse-subdivision":
+            continue
+        g1, h = kids
+        assert count(g) == 2 ** (k - 1) * (count(g1) + (k - 1) * count(h)), g.sorted_edges
+        assert k == _thread_length(g, int(detail.split()[0][2:]))
+        checked += 1
+    assert checked == 47
+
+
+def test_thread_rule_on_random_subdivided_graphs(rng):
+    from pqvol.sampling import random_two_connected_graph
+
+    for k in (2, 3, 4, 5, 6) * 2:
+        # minimum degree 3 leaves the k new vertices as the only thread
+        while True:
+            base = random_two_connected_graph(rng.randint(4, 11 - k), rng)
+            if min(base.degree(v) for v in range(1, base.n + 1)) >= 3:
+                break
+        (u, end) = rng.choice(base.sorted_edges)
+        g = base
+        for _ in range(k):
+            g = subdivide(g, (u, end))
+            end = g.n
+        res = nvol(g)
+        assert res.value == count(g), g.sorted_edges
+        assert (res.trace.rule, res.trace.detail) == ("reverse-subdivision", f"x={base.n + 1} k={k}")
+        assert res.trace.k == trace_rows(res.trace)[-1]["k"] == _thread_length(g, base.n + 1) == k
+        _check_thread_rows(res.trace)
 
 
 def test_oracle_mode_splits_components_only():
