@@ -9,7 +9,6 @@ outerplanar graphs.
 
 from .draconian import (
     DraconianSet,
-    EnumerationConfig,
     ResourceCapExceeded,
     check_flow,
     check_subset,
@@ -56,7 +55,6 @@ __all__ = [
     "BijectionWitness",
     "BipartiteDouble",
     "DraconianSet",
-    "EnumerationConfig",
     "Graph",
     "IdentityCheck",
     "NotOuterplanarError",

@@ -201,6 +201,9 @@ def cmd_enum(graph_spec, workers, seed, as_json) -> None:
 
 
 def _suite_recurrences(n_max: int, seed: int, samples: int):
+    # subdividing or triangle-joining a sample adds a vertex: refuse before
+    # counting the smaller samples
+    draconian.check_cap(n_max + 1, draconian.MAX_N, "enumerating the transformed samples")
     rng = Random(seed)
     cases = []
     for _ in range(samples):
@@ -232,13 +235,9 @@ def _suite_recurrences(n_max: int, seed: int, samples: int):
 
 
 def _suite_checkers(n_max: int, seed: int, samples: int):
-    # above the dense subset table check_subset enumerates cluster-connected
-    # subsets, which is exponential on these dense samples
-    if n_max > draconian._VECTOR_LIMIT:
-        raise draconian.ResourceCapExceeded(
-            f"checker samples on up to {n_max} vertices exceed the cap of "
-            f"{draconian._VECTOR_LIMIT}, the largest dense subset table"
-        )
+    # check_subset refuses above its dense subset table: refuse before the
+    # exhaustive cases run
+    draconian.check_cap(n_max, draconian.SUBSET_MAX_N, "subset-checking the samples")
     cases = []
     for n in range(1, min(n_max, 4) + 1):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -413,11 +412,7 @@ def _record_line(rec: dict) -> str:
 
 def _scan_wheels(n_max: int, seed: int, samples: int, workers: int):
     # wheel:n has n + 1 vertices: refuse before counting the smaller wheels
-    cap = draconian.EnumerationConfig().max_n
-    if n_max + 1 > cap:
-        raise draconian.ResourceCapExceeded(
-            f"wheel:{n_max} has {n_max + 1} vertices, above the enumeration cap of {cap}"
-        )
+    draconian.check_cap(n_max + 1, draconian.MAX_N, f"enumerating wheel:{n_max}")
     records = []
     for n in range(3, n_max + 1):
         g = generate("wheel", n)
@@ -438,6 +433,8 @@ def _scan_wheels(n_max: int, seed: int, samples: int, workers: int):
 
 
 def _scan_outerplanar(n_max: int, seed: int, samples: int, workers: int):
+    # refuse before drawing, not at the first sample above the cap
+    draconian.check_cap(n_max, draconian.MAX_N, "enumerating the outerplanar samples")
     rng = Random(seed)
     records = []
     for _ in range(samples):

@@ -15,6 +15,12 @@ each sequence, by look-ahead augmentations, and never checks a finished one.
 It walks each position's values downward and stops at the first value whose
 subtree holds no sequence, since the values that extend a prefix form an
 interval; the listing is reversed once into lexicographic order.
+
+The size caps live here and nowhere else: the enumerator (so count and
+enumerate_draconian) accepts at most MAX_N vertices, and check_subset, whose
+dense all-subsets tables grow as 2^n, at most SUBSET_MAX_N. Above a cap
+check_cap raises ResourceCapExceeded; the CLI calls it too, so a command
+that would cross a cap refuses before it does any work.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DraconianSet",
-    "EnumerationConfig",
+    "MAX_N",
     "ResourceCapExceeded",
+    "SUBSET_MAX_N",
+    "check_cap",
     "check_flow",
     "check_subset",
     "count",
@@ -40,27 +48,18 @@ __all__ = [
     "sequences_to_text",
 ]
 
-# Above this size the dense all-subsets tables become too large and
-# check_subset falls back to enumerating cluster-connected subsets only.
-_VECTOR_LIMIT = 22
+MAX_N = 18  # largest vertex count the enumerator accepts
+SUBSET_MAX_N = 22  # largest vertex count with a dense subset table
 
 
 class ResourceCapExceeded(RuntimeError):
-    """A requested computation exceeds the configured size cap."""
+    """A requested computation exceeds a size cap."""
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
-    """Resource cap for the enumerator.
-
-    max_n caps the vertex count accepted by enumerate_draconian and count.
-    """
-
-    max_n: int = 18
-
-    def __post_init__(self) -> None:
-        if self.max_n < 1:
-            raise ValueError(f"max_n must be positive, got {self.max_n}")
+def check_cap(n: int, cap: int, what: str) -> None:
+    """Raise ResourceCapExceeded when what, run on n vertices, exceeds cap."""
+    if n > cap:
+        raise ResourceCapExceeded(f"{what} on {n} vertices exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -131,69 +130,27 @@ def _popcount_table(d: BipartiteDouble) -> np.ndarray:
     return table
 
 
-def _grow_clusters(sub: int, ext: int, adj: list[int], excluded: int):
-    """Connected subsets of the overlap graph containing sub, each once."""
-    yield sub
-    m = ext
-    while m:
-        b = m & -m
-        m ^= b
-        child_ext = (m | adj[b.bit_length() - 1]) & ~(sub | b) & ~excluded
-        yield from _grow_clusters(sub | b, child_ext, adj, excluded)
-        excluded |= b
-
-
-def _cluster_connected_subsets(adj: list[int], n: int):
-    for v in range(n):
-        excluded = (1 << v) - 1
-        start = 1 << v
-        yield from _grow_clusters(start, adj[v] & ~excluded & ~start, adj, excluded)
-
-
-def _subset_condition(d: BipartiteDouble, seq: tuple[int, ...]) -> bool:
-    """All nonempty subsets satisfy the strict inequality; sum already checked."""
-    n = d.n
-    if n <= _VECTOR_LIMIT:
-        # numpy loads on this dense path only, so the CLI starts without it
-        import numpy as np
-
-        bounds = _popcount_table(d)
-        sums = np.zeros(1 << n, dtype=np.int16)
-        for b in range(n):
-            half = 1 << b
-            sums[half : 2 * half] = sums[:half] + np.int16(seq[b])
-        return bool(np.all(sums[1:] < bounds[1:]))
-    # Large n: a subset that splits into parts with disjoint neighborhood
-    # unions inherits the inequality from its parts, so only subsets forming
-    # one connected cluster in the neighborhood-overlap graph need checking.
-    masks = list(d.neighborhoods)
-    overlap = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if masks[i] & masks[j]:
-                overlap[i] |= 1 << j
-                overlap[j] |= 1 << i
-    for sub in _cluster_connected_subsets(overlap, n):
-        total = 0
-        union = 0
-        m = sub
-        while m:
-            b = m & -m
-            total += seq[b.bit_length() - 1]
-            union |= masks[b.bit_length() - 1]
-            m ^= b
-        if total >= union.bit_count():
-            return False
-    return True
-
-
 def check_subset(double: BipartiteDouble | Graph, a) -> bool:
-    """Decide draconian-hood by checking the subset inequalities."""
+    """Decide draconian-hood by checking the subset inequalities.
+
+    Every nonempty subset is checked over dense all-subsets tables of 2^n
+    entries, so above SUBSET_MAX_N vertices it raises ResourceCapExceeded.
+    """
     d = _coerce_double(double)
+    n = d.n
+    check_cap(n, SUBSET_MAX_N, "subset check")
     seq = _validate_sequence(d, a)
-    if sum(seq) != d.n - 1:
+    if sum(seq) != n - 1:
         return False
-    return _subset_condition(d, seq)
+    # numpy loads on this path only, so the CLI starts without it
+    import numpy as np
+
+    bounds = _popcount_table(d)
+    sums = np.zeros(1 << n, dtype=np.int16)
+    for b in range(n):
+        half = 1 << b
+        sums[half : 2 * half] = sums[:half] + np.int16(seq[b])
+    return bool(np.all(sums[1:] < bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +386,12 @@ def _shard_task(args):
     return _dfs_run(build_double(from_edge_list(n, edges)), prefix, collect)
 
 
-def _run(g: Graph, workers: int, config: EnumerationConfig | None, collect: bool):
+def _run(g: Graph, workers: int, collect: bool):
     """Draconian sequences of g in lexicographic order (collect=True) or their
     number (collect=False), enumerated serially or over a process pool."""
-    cfg = config or EnumerationConfig()
     if len(connected_components(g)) != 1:
         return [] if collect else 0
-    if g.n > cfg.max_n:
-        raise ResourceCapExceeded(
-            f"enumeration on {g.n} vertices exceeds the cap of {cfg.max_n}; "
-            "raise EnumerationConfig.max_n to proceed"
-        )
+    check_cap(g.n, MAX_N, "enumeration")
     d = build_double(g)
     if workers <= 1:
         return _dfs_run(d, (), collect)
@@ -450,17 +402,20 @@ def _run(g: Graph, workers: int, config: EnumerationConfig | None, collect: bool
     return [s for part in parts for s in part] if collect else sum(parts)
 
 
-def enumerate_draconian(
-    g: Graph, workers: int = 1, config: EnumerationConfig | None = None
-) -> DraconianSet:
+def enumerate_draconian(g: Graph, workers: int = 1) -> DraconianSet:
     """All draconian sequences of g in lexicographic order.
 
     Disconnected graphs have none: each component's vertex set forces its
     partial sum below the component size, so the totals cannot reach n - 1.
+    A connected g above MAX_N vertices raises ResourceCapExceeded.
     """
-    return DraconianSet(tuple(_run(g, workers, config, collect=True)))
+    return DraconianSet(tuple(_run(g, workers, collect=True)))
 
 
-def count(g: Graph, workers: int = 1, config: EnumerationConfig | None = None) -> int:
-    """|enumerate_draconian(g)| without materializing the sequences."""
-    return _run(g, workers, config, collect=False)
+def count(g: Graph, workers: int = 1) -> int:
+    """|enumerate_draconian(g)| without materializing the sequences.
+
+    0 on a disconnected g; a connected g above MAX_N vertices raises
+    ResourceCapExceeded.
+    """
+    return _run(g, workers, collect=False)

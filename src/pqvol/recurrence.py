@@ -432,10 +432,9 @@ def replay_trace(node: TraceNode) -> int:
     return replayed[-1]
 
 
-# Keyed by (oracle mode, enumeration cap, n, sorted edges), so the two
-# strategies never share entries and a smaller cap is never answered from a
-# run under a larger one.
-_MEMO: dict[tuple[bool, int, int, tuple[tuple[int, int], ...]], TraceNode] = {}
+# Keyed by (oracle mode, n, sorted edges), so the two strategies never share
+# entries. A step that hits the enumeration cap raises before it is stored.
+_MEMO: dict[tuple[bool, int, tuple[tuple[int, int], ...]], TraceNode] = {}
 
 
 def clear_memo() -> None:
@@ -530,7 +529,7 @@ def _reverse_move(g: Graph):
     return None
 
 
-def _step(g: Graph, oracle: bool, workers: int, config):
+def _step(g: Graph, oracle: bool, workers: int):
     """One planner step on g: (rule, detail, k, child graphs, leaf value).
 
     A leaf has no children and carries its value; any other node gets its
@@ -542,7 +541,7 @@ def _step(g: Graph, oracle: bool, workers: int, config):
     if len(comps) > 1:
         return "component-product", "", None, [induced_subgraph(g, c) for c in comps], None
     if oracle:
-        return "enumeration", "", None, (), draconian.count(g, workers=workers, config=config)
+        return "enumeration", "", None, (), draconian.count(g, workers=workers)
     if g.n == 1:
         return "closed-form:vertex", "", None, (), 1
 
@@ -575,24 +574,23 @@ def _step(g: Graph, oracle: bool, workers: int, config):
     if move is not None:
         return (*move, None)
 
-    return "enumeration", "", None, (), draconian.count(g, workers=workers, config=config)
+    return "enumeration", "", None, (), draconian.count(g, workers=workers)
 
 
-def _plan(g: Graph, oracle: bool, workers: int, config) -> TraceNode:
+def _plan(g: Graph, oracle: bool, workers: int) -> TraceNode:
     """Trace of g, planned depth-first over an explicit stack of open steps.
 
     Children are planned left to right, each looked up in _MEMO when its turn
     comes. The stack, not the interpreter's recursion limit, bounds the
     depth; a step leaves it once its last child is done.
     """
-    max_n = (config or draconian.EnumerationConfig()).max_n
     stack = []  # (memo key, graph, rule, detail, k, child graphs, child nodes)
     todo = g
     while True:
-        key = (oracle, max_n, todo.n, todo.sorted_edges)
+        key = (oracle, todo.n, todo.sorted_edges)
         node = _MEMO.get(key)
         if node is None:
-            rule, detail, k, kids, value = _step(todo, oracle, workers, config)
+            rule, detail, k, kids, value = _step(todo, oracle, workers)
             if kids:
                 stack.append((key, todo, rule, detail, k, kids, []))
                 todo = kids[0]
@@ -615,19 +613,15 @@ def _plan(g: Graph, oracle: bool, workers: int, config) -> TraceNode:
         todo = kids[len(done)]
 
 
-def nvol(
-    g: Graph,
-    strategy: str = "auto",
-    workers: int = 1,
-    config: draconian.EnumerationConfig | None = None,
-) -> VolumeResult:
+def nvol(g: Graph, strategy: str = "auto", workers: int = 1) -> VolumeResult:
     """Exact normalized volume of the adjacency polytope of g, with trace.
 
     strategy "auto" runs the full planner; "enumerate" is the oracle mode: it
     splits g into connected components and enumerates each one, bypassing
-    every other rule.
+    every other rule. A leaf that must enumerate a block above
+    draconian.MAX_N vertices raises ResourceCapExceeded.
     """
     if strategy not in ("auto", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    node = _plan(g, strategy == "enumerate", workers, config)
+    node = _plan(g, strategy == "enumerate", workers)
     return VolumeResult(value=node.value, trace=node)

@@ -258,13 +258,56 @@ def test_checker_suite_stays_within_n_max(runner, n_max):
     assert max(sizes) == n_max
 
 
-def test_checker_suite_above_the_dense_subset_table_exits_3(runner):
-    # check_subset is exponential above the table, so no sample is drawn
-    result = runner.invoke(
-        cli.main, ["verify", "checkers", "--n-max", "23", "--samples", "2", "--seed", "1"]
-    )
-    assert result.exit_code == 3
-    assert "exceed the cap of 22" in result.output
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(
+            ["scan", "wheels", "--n-max", "18"],
+            "enumerating wheel:18 on 19 vertices exceeds the cap of 18",
+            id="scan-wheels",
+        ),
+        pytest.param(
+            ["scan", "outerplanar-conjecture", "--n-max", "19"],
+            "on 19 vertices exceeds the cap of 18",
+            id="scan-outerplanar",
+        ),
+        pytest.param(
+            ["verify", "recurrences", "--n-max", "18"],
+            "on 19 vertices exceeds the cap of 18",
+            id="verify-recurrences",
+        ),
+        pytest.param(
+            ["verify", "checkers", "--n-max", "23"],
+            "on 23 vertices exceeds the cap of 22",
+            id="verify-checkers",
+        ),
+    ],
+)
+def test_refusals_exit_3_before_any_work(runner, monkeypatch, args, message):
+    # wheel:18 and the transformed recurrence samples have n_max + 1
+    # vertices; counting the smaller samples first would take minutes to hours
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("no count, listing or subset check may run")
+
+    for name in ("count", "enumerate_draconian", "check_subset"):
+        monkeypatch.setattr(draconian, name, refuse)
+    result = runner.invoke(cli.main, [*args, "--seed", "1"])
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "recurrences", "--n-max", "17"],
+        ["verify", "checkers", "--n-max", "22"],
+        ["scan", "outerplanar-conjecture", "--n-max", "18"],
+    ],
+    ids=["verify-recurrences", "verify-checkers", "scan-outerplanar"],
+)
+def test_sizes_at_the_caps_run(runner, args):
+    result = runner.invoke(cli.main, [*args, "--samples", "0"])
+    assert result.exit_code == 0, result.output
 
 
 def test_verify_rejects_unknown_suite(runner):
@@ -280,17 +323,6 @@ def test_scan_wheels(runner):
     assert all("agree=yes" in ln for ln in records)
     assert "label=wheel:6 formula=666 oracle=666" in result.output
     assert "result: all-agree 4/4 records" in result.output
-
-
-def test_scan_wheels_above_the_cap_exits_3_before_counting(runner, monkeypatch):
-    # wheel:18 has 19 vertices; counting wheel:3..17 first would take hours
-    def refuse(*args, **kwargs):
-        raise AssertionError("draconian.count must not run")
-
-    monkeypatch.setattr(draconian, "count", refuse)
-    result = runner.invoke(cli.main, ["scan", "wheels", "--n-max", "18"])
-    assert result.exit_code == 3
-    assert "wheel:18 has 19 vertices, above the enumeration cap of 18" in result.output
 
 
 def test_scan_records_sorted_and_worker_independent(runner):

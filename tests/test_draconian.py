@@ -7,7 +7,8 @@ import pytest
 
 from pqvol import draconian
 from pqvol.draconian import (
-    EnumerationConfig,
+    MAX_N,
+    SUBSET_MAX_N,
     ResourceCapExceeded,
     check_flow,
     check_subset,
@@ -113,34 +114,17 @@ def test_checker_equivalence_on_small_catalog():
             assert check_subset(d, comp) == check_flow(d, comp)
 
 
-def test_cluster_fallback_matches_vectorized_path(monkeypatch, rng):
-    for _ in range(30):
-        n = rng.randint(2, 7)
-        from pqvol.sampling import random_connected_graph
-
-        g = random_connected_graph(n, rng)
-        d = build_double(g)
-        seq = [0] * n
-        for _ in range(n - 1):
-            seq[rng.randrange(n)] += 1
-        fast = check_subset(d, seq)
-        monkeypatch.setattr(draconian, "_VECTOR_LIMIT", 0)
-        d_fresh = build_double(g)
-        assert check_subset(d_fresh, seq) == fast
-        monkeypatch.undo()
-
-
-def test_config_validation_and_cap():
-    with pytest.raises(ValueError):
-        EnumerationConfig(max_n=0)
-    with pytest.raises(ResourceCapExceeded):
-        count(generate("complete", 19))
-    cfg = EnumerationConfig(max_n=19)
-    small = EnumerationConfig(max_n=4)
-    assert count(generate("cycle", 4), config=small) == 16
-    with pytest.raises(ResourceCapExceeded):
-        count(generate("cycle", 5), config=small)
-    assert cfg.max_n == 19
+def test_enumeration_and_subset_caps():
+    # the caps are module constants: one vertex past each one raises
+    assert (MAX_N, SUBSET_MAX_N) == (18, 22)
+    k19 = generate("complete", 19)
+    for run in (count, enumerate_draconian):
+        with pytest.raises(ResourceCapExceeded, match="19 vertices exceeds the cap of 18"):
+            run(k19)
+    # disconnected graphs have no sequences whatever their size
+    assert count(disjoint_union(generate("cycle", 10), generate("cycle", 10))) == 0
+    with pytest.raises(ResourceCapExceeded, match="23 vertices exceeds the cap of 22"):
+        check_subset(generate("cycle", 23), (1,) * 22 + (0,))
 
 
 def test_subset_leaf_checker_agrees_with_flow():

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from pqvol import cli, draconian, recurrence
-from pqvol.draconian import EnumerationConfig, ResourceCapExceeded, count, enumerate_draconian
+from pqvol.draconian import ResourceCapExceeded, count, enumerate_draconian
 from pqvol.graphs import (
     delete_edge,
     disjoint_union,
@@ -351,13 +351,13 @@ def test_memo_is_reused_and_clearable():
 
 
 def test_memo_respects_the_enumeration_cap():
-    # wheel:6 has no degree-2 vertex, so the planner enumerates it
+    # wheel:18 has no degree-2 vertex, so both strategies reach an
+    # enumeration leaf on all 19 vertices; a refused step is never memoized
     clear_memo()
-    g = generate("wheel", 6)
-    for strategy in ("auto", "enumerate"):
-        assert nvol(g, strategy=strategy).value == 666
-        with pytest.raises(ResourceCapExceeded):
-            nvol(g, strategy=strategy, config=EnumerationConfig(max_n=4))
+    g = generate("wheel", 18)
+    for strategy in ("auto", "enumerate", "auto"):
+        with pytest.raises(ResourceCapExceeded, match="19 vertices exceeds the cap of 18"):
+            nvol(g, strategy=strategy)
 
 
 def _subdivided_k4(times):
