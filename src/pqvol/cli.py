@@ -32,11 +32,11 @@ from . import __version__, draconian, outerplanar, recurrence, sampling
 from .graphs import (
     Graph,
     build_double,
-    connected_components,
     delete_edge,
     from_edge_list,
     generate,
     graph_fingerprint,
+    is_connected,
     read_edge_list,
     subdivide,
     triangle_join,
@@ -126,6 +126,9 @@ def _emit(report: RunReport, as_json: bool) -> None:
 @click.version_option(version=__version__, prog_name="pqvol")
 def main() -> None:
     """Exact normalized volumes of graph adjacency polytopes."""
+    # volumes are printed in full: lift the 4,300-digit cap on int -> str
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +249,7 @@ def _suite_checkers(n_max: int, seed: int, samples: int):
         for bits in range(1 << len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
             g = from_edge_list(n, edges)
-            if len(connected_components(g)) != 1:
+            if not is_connected(g):
                 continue
             d = build_double(g)
             for comp in sampling.compositions(n - 1, n):
@@ -470,7 +473,10 @@ _SCANS = {"wheels": _scan_wheels, "outerplanar-conjecture": _scan_outerplanar}
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_scan(target, n_max, seed, samples, out, workers, as_json) -> None:
-    """Compare a conjectured formula against the enumeration oracle."""
+    """Compare a conjectured formula against the enumeration oracle.
+
+    wheels checks wheel:3 .. wheel:N-MAX and ignores --seed and --samples.
+    """
     start = time.perf_counter()
     try:
         records = _SCANS[target](n_max, seed, samples, workers)

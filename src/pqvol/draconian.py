@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .graphs import BipartiteDouble, Graph, build_double, connected_components, from_edge_list
+from .graphs import BipartiteDouble, Graph, build_double, from_edge_list, is_connected
 
 if TYPE_CHECKING:
     import numpy as np
@@ -389,7 +389,7 @@ def _shard_task(args):
 def _run(g: Graph, workers: int, collect: bool):
     """Draconian sequences of g in lexicographic order (collect=True) or their
     number (collect=False), enumerated serially or over a process pool."""
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         return [] if collect else 0
     check_cap(g.n, MAX_N, "enumeration")
     d = build_double(g)

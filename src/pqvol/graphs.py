@@ -1,15 +1,17 @@
 """Simple graphs, their bipartite doubles, generators, and block structure.
 
 Vertices are labeled 1..n throughout. Edges are unordered pairs stored as
-sorted tuples, so every operation that returns a graph returns one with a
-normalized edge set.
+sorted tuples. Graph.__post_init__ is the one normaliser: every builder's
+edges are sorted, deduplicated and range-checked there and nowhere else.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -25,16 +27,19 @@ def _normalize_edge(e: Iterable[int]) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices 1..n."""
+    """Immutable simple graph on vertices 1..n; edges may be any iterable of pairs.
+
+    Equality and hashing see (n, edges) only; cached properties are not fields.
+    """
 
     n: int
     edges: frozenset[Edge]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
+        # normalise first, so a self-loop is reported before a bad n
+        normalized = frozenset(_normalize_edge(e) for e in self.edges)
         if self.n < 1:
             raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        normalized = frozenset(_normalize_edge(e) for e in self.edges)
         for u, v in normalized:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
@@ -44,51 +49,32 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        try:
-            return self._cache["sorted_edges"]
-        except KeyError:
-            se = tuple(sorted(self.edges))
-            self._cache["sorted_edges"] = se
-            return se
+        return tuple(sorted(self.edges))
 
+    @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
         # index 0 unused; neighbor tuples are sorted ascending
-        try:
-            return self._cache["adj"]
-        except KeyError:
-            lists: list[list[int]] = [[] for _ in range(self.n + 1)]
-            for u, v in self.edges:
-                lists[u].append(v)
-                lists[v].append(u)
-            adj = tuple(tuple(sorted(l)) for l in lists)
-            self._cache["adj"] = adj
-            return adj
+        lists: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            lists[u].append(v)
+            lists[v].append(u)
+        return tuple(tuple(sorted(l)) for l in lists)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._adj()[v]
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self.edges
+        return u != v and (min(u, v), max(u, v)) in self.edges
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
 
 
 def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
@@ -96,7 +82,7 @@ def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
 
     Rejects self-loops and out-of-range labels; duplicate edges collapse.
     """
-    return Graph(n, frozenset(_normalize_edge(e) for e in edges))
+    return Graph(n, edges)
 
 
 def graph_fingerprint(g: Graph) -> str:
@@ -195,8 +181,7 @@ def _gen_complete_minus_matching(n: int, k: int) -> Graph:
     if n < 1 or k < 0 or 2 * k > n:
         raise ValueError(f"need 0 <= k <= n/2, got n={n}, k={k}")
     removed = {(2 * i - 1, 2 * i) for i in range(1, k + 1)}
-    g = _gen_complete(n)
-    return Graph(n, g.edges - removed)
+    return Graph(n, _gen_complete(n).edges - removed)
 
 
 def _gen_random_tree(n: int, rng: random.Random) -> Graph:
@@ -211,8 +196,6 @@ def _gen_random_tree(n: int, rng: random.Random) -> Graph:
         degree[v] += 1
     edges = []
     leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
-    import heapq
-
     heapq.heapify(leaves)
     for v in seq:
         leaf = heapq.heappop(leaves)
@@ -259,16 +242,17 @@ _FAMILY_ALIASES = {
     "kmn": "complete_bipartite",
 }
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "wheel": 1,
-    "complete_minus_matching": 2,
-    "random_tree": 1,
-    "random_outerplanar": 1,
+# name -> (builder, number of parameters); random_* builders also take an rng
+_FAMILIES = {
+    "path": (_gen_path, 1),
+    "cycle": (_gen_cycle, 1),
+    "complete": (_gen_complete, 1),
+    "complete_bipartite": (_gen_complete_bipartite, 2),
+    "star": (_gen_star, 1),
+    "wheel": (_gen_wheel, 1),
+    "complete_minus_matching": (_gen_complete_minus_matching, 2),
+    "random_tree": (_gen_random_tree, 1),
+    "random_outerplanar": (_gen_random_outerplanar, 1),
 }
 
 
@@ -280,30 +264,16 @@ def generate(family: str, *params: int, seed: int | None = None) -> Graph:
     The random families require a seed and are reproducible given one.
     """
     name = _FAMILY_ALIASES.get(family, family)
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if len(params) != _FAMILY_ARITY[name]:
-        raise ValueError(f"family {name} takes {_FAMILY_ARITY[name]} parameter(s), got {params}")
-    if name == "path":
-        return _gen_path(*params)
-    if name == "cycle":
-        return _gen_cycle(*params)
-    if name == "complete":
-        return _gen_complete(*params)
-    if name == "complete_bipartite":
-        return _gen_complete_bipartite(*params)
-    if name == "star":
-        return _gen_star(*params)
-    if name == "wheel":
-        return _gen_wheel(*params)
-    if name == "complete_minus_matching":
-        return _gen_complete_minus_matching(*params)
+    builder, arity = _FAMILIES[name]
+    if len(params) != arity:
+        raise ValueError(f"family {name} takes {arity} parameter(s), got {params}")
+    if not name.startswith("random_"):
+        return builder(*params)
     if seed is None:
         raise ValueError(f"family {name} requires a seed")
-    rng = random.Random(seed)
-    if name == "random_tree":
-        return _gen_random_tree(params[0], rng)
-    return _gen_random_outerplanar(params[0], rng)
+    return builder(*params, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +282,7 @@ def generate(family: str, *params: int, seed: int | None = None) -> Graph:
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each ascending, ordered by minimum."""
-    adj = g._adj()
+    adj = g._adj
     seen = [False] * (g.n + 1)
     comps: list[tuple[int, ...]] = []
     for start in range(1, g.n + 1):
@@ -342,7 +312,7 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[Edge]], set[int]]:
     Isolated vertices belong to no block. Bridges form single-edge blocks.
     Blocks are returned sorted by their smallest edge for determinism.
     """
-    adj = g._adj()
+    adj = g._adj
     disc = [0] * (g.n + 1)  # 0 means unvisited; discovery times start at 1
     low = [0] * (g.n + 1)
     blocks: list[frozenset[Edge]] = []
@@ -425,19 +395,10 @@ def add_edge(g: Graph, e: Iterable[int]) -> Graph:
     return Graph(g.n, g.edges | {edge})
 
 
-def relabel_map_after_delete(n: int, v: int) -> dict[int, int]:
-    """Order-preserving old->new labels used by delete_vertex."""
-    return {u: u if u < v else u - 1 for u in range(1, n + 1) if u != v}
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove v and relabel the remaining vertices 1..n-1 preserving order."""
-    g._check_vertex(v)
-    if g.n == 1:
-        raise ValueError("cannot delete the last vertex")
-    remap = relabel_map_after_delete(g.n, v)
-    edges = [(remap[u], remap[w]) for u, w in g.edges if u != v and w != v]
-    return from_edge_list(g.n - 1, edges)
+def _relabelled(edges: Iterable[Edge], keep: list[int]) -> Graph:
+    """The edges with both ends in keep (ascending), keep[i] relabelled i + 1."""
+    remap = {v: i + 1 for i, v in enumerate(keep)}
+    return Graph(len(keep), [(remap[u], remap[w]) for u, w in edges if u in remap and w in remap])
 
 
 def block_subgraphs(g: Graph) -> list[Graph]:
@@ -446,13 +407,8 @@ def block_subgraphs(g: Graph) -> list[Graph]:
     Ordering follows blocks_and_cut_vertices, which sorts blocks by edge set,
     so the result is deterministic.
     """
-    out = []
     blocks, _ = blocks_and_cut_vertices(g)
-    for edge_set in blocks:
-        verts = sorted({v for e in edge_set for v in e})
-        remap = {v: i + 1 for i, v in enumerate(verts)}
-        out.append(from_edge_list(len(verts), [(remap[u], remap[v]) for u, v in edge_set]))
-    return out
+    return [_relabelled(edge_set, sorted({v for e in edge_set for v in e})) for edge_set in blocks]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -462,10 +418,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         raise ValueError("induced subgraph needs at least one vertex")
     for v in keep:
         g._check_vertex(v)
-    remap = {v: i + 1 for i, v in enumerate(keep)}
-    kept = set(keep)
-    edges = [(remap[u], remap[w]) for u, w in g.edges if u in kept and w in kept]
-    return from_edge_list(len(keep), edges)
+    return _relabelled(g.edges, keep)
 
 
 def subdivide(g: Graph, e: Iterable[int]) -> Graph:
@@ -525,15 +478,8 @@ class BipartiteDouble:
 
     n: int
     neighborhoods: tuple[int, ...]
+    # filled by pqvol.draconian (neighbour lists, popcount table); not compared
     _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.neighborhoods))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BipartiteDouble):
-            return NotImplemented
-        return self.n == other.n and self.neighborhoods == other.neighborhoods
 
 
 def build_double(g: Graph) -> BipartiteDouble:

@@ -23,10 +23,10 @@ from .graphs import (
     block_subgraphs,
     connected_components,
     delete_edge,
-    delete_vertex,
     from_edge_list,
     graph_fingerprint,
     induced_subgraph,
+    is_connected,
     is_two_connected,
     subdivide,
     triangle_join,
@@ -185,22 +185,17 @@ def _pick_degree_two_endpoint(g: Graph, e: tuple[int, int], u: int | None) -> tu
     raise ValueError(f"edge {e} has no degree-2 endpoint")
 
 
-def subdivision_eligible(g: Graph, e) -> bool:
+def _has_degree_two_endpoint(g: Graph, e) -> bool:
     a, b = sorted(e)
-    return (
-        (a, b) in g.edges
-        and (g.degree(a) == 2 or g.degree(b) == 2)
-        and is_two_connected(g)
-    )
+    return (a, b) in g.edges and (g.degree(a) == 2 or g.degree(b) == 2)
+
+
+def subdivision_eligible(g: Graph, e) -> bool:
+    return _has_degree_two_endpoint(g, e) and is_two_connected(g)
 
 
 def triangle_eligible(g: Graph, e) -> bool:
-    a, b = sorted(e)
-    return (
-        (a, b) in g.edges
-        and (g.degree(a) == 2 or g.degree(b) == 2)
-        and len(connected_components(g)) == 1
-    )
+    return _has_degree_two_endpoint(g, e) and is_connected(g)
 
 
 def _witness(kind: str, base, other, ui: int, vi: int) -> BijectionWitness:
@@ -289,7 +284,7 @@ def triangle_step(
     edge = tuple(sorted(e))
     if edge not in g.edges:
         raise ValueError(f"edge {edge} not in graph")
-    if len(connected_components(g)) != 1:
+    if not is_connected(g):
         raise ValueError("triangle step requires a connected graph")
     u_, v_ = _pick_degree_two_endpoint(g, edge, u)
 
@@ -514,7 +509,8 @@ def _reverse_move(g: Graph):
         v, w = g.neighbors(x)
         if g.has_edge(v, w):
             if g.degree(v) == 3 or g.degree(w) == 3:
-                return "reverse-triangle", f"x={x}", None, (delete_vertex(g, x),)
+                rest = [u for u in range(1, g.n + 1) if u != x]
+                return "reverse-triangle", f"x={x}", None, (induced_subgraph(g, rest),)
         elif g.degree(v) == 2 or g.degree(w) == 2:
             left, a = _thread_walk(g, x, v)
             if a == x:

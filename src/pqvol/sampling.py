@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from random import Random
 
-from .graphs import Graph, connected_components, from_edge_list, is_two_connected
-from .recurrence import subdivision_eligible, triangle_eligible
+from .graphs import Graph, from_edge_list, is_connected, is_two_connected
+from .recurrence import _has_degree_two_endpoint
 
 __all__ = [
     "random_connected_graph",
@@ -46,7 +46,7 @@ def random_connected_graph(n: int, rng: Random) -> Graph:
     """A connected graph on n vertices with a random edge density."""
     for _ in range(_MAX_TRIES):
         g = _random_graph(n, rng.uniform(0.3, 0.8), rng)
-        if len(connected_components(g)) == 1:
+        if is_connected(g):
             return g
     raise RuntimeError(f"failed to sample a connected graph on {n} vertices")
 
@@ -64,7 +64,8 @@ def sample_subdivision_pair(rng: Random, n_max: int) -> tuple[Graph, tuple[int, 
     for _ in range(_MAX_TRIES):
         n = rng.randint(4, n_max)
         g = random_two_connected_graph(n, rng)
-        eligible = [e for e in g.sorted_edges if subdivision_eligible(g, e)]
+        # g is 2-connected: subdivision_eligible without testing that again
+        eligible = [e for e in g.sorted_edges if _has_degree_two_endpoint(g, e)]
         if eligible:
             return g, rng.choice(eligible)
     raise RuntimeError("failed to sample an eligible subdivision pair")
@@ -75,7 +76,8 @@ def sample_triangle_pair(rng: Random, n_max: int) -> tuple[Graph, tuple[int, int
     for _ in range(_MAX_TRIES):
         n = rng.randint(3, n_max)
         g = random_connected_graph(n, rng)
-        eligible = [e for e in g.sorted_edges if triangle_eligible(g, e)]
+        # g is connected: triangle_eligible without testing that again
+        eligible = [e for e in g.sorted_edges if _has_degree_two_endpoint(g, e)]
         if eligible:
             return g, rng.choice(eligible)
     raise RuntimeError("failed to sample an eligible triangle pair")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -380,3 +383,32 @@ def test_version_and_help(runner):
     assert help_result.exit_code == 0
     for cmd in ("nvol", "enum", "verify", "scan"):
         assert cmd in help_result.output
+
+
+@pytest.fixture
+def int_digits_limit():
+    # the CLI lifts the int -> str digit limit for the whole process
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int -> str digit limit on this Python")
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_nvol_prints_values_past_the_digit_limit(runner, int_digits_limit, extra):
+    result = runner.invoke(cli.main, ["nvol", "path:15000", *extra])
+    assert result.exit_code == 0, result.output
+    value = json.loads(result.output)["value"] if extra else int(result.output.splitlines()[0])
+    assert value == 1 << 14999 and len(str(value)) == 4516
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pqvol.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import pytest
 
+from pqvol.draconian import check_subset
 from pqvol.graphs import (
     BipartiteDouble,
+    Graph,
     add_edge,
     block_subgraphs,
     blocks_and_cut_vertices,
     build_double,
     connected_components,
     delete_edge,
-    delete_vertex,
     disjoint_union,
     format_edge_list,
     from_edge_list,
@@ -174,7 +175,7 @@ def test_edge_edits():
 
 def test_delete_vertex_relabels():
     p4 = generate("path", 4)
-    g = delete_vertex(p4, 2)
+    g = induced_subgraph(p4, [1, 3, 4])
     assert g.n == 3
     assert g.sorted_edges == ((2, 3),)
 
@@ -205,3 +206,18 @@ def test_build_double_neighborhoods():
     assert isinstance(d, BipartiteDouble)
     # the mirror of i plus the mirrors of its neighbors
     assert d.neighborhoods == (0b111, 0b111, 0b111)
+
+
+def test_equality_and_hash_ignore_cached_data():
+    fresh = generate("wheel", 4)
+    used = generate("wheel", 4)
+    assert used.sorted_edges and used.neighbors(1)  # both now cached
+    assert used == fresh and hash(used) == hash(fresh)
+    assert from_edge_list(3, [(2, 1)]) == Graph(3, frozenset({(1, 2)}))
+    assert {used, fresh, generate("cycle", 4)} == {fresh, generate("cycle", 4)}
+
+    d = build_double(fresh)
+    check_subset(d, (1, 1, 1, 1, 0))
+    assert d._cache
+    assert d == build_double(fresh) and hash(d) == hash(build_double(fresh))
+    assert fresh != d and d != fresh

@@ -222,6 +222,27 @@ def test_recurrence_identities_on_random_pairs(rng):
         assert count(triangle_join(g, e)) == 3 * count(g)
 
 
+def test_samplers_draw_eligible_pairs_and_check_2_connectivity_once(monkeypatch, rng):
+    from pqvol import graphs, sampling
+
+    calls = {}
+    seen = []  # keeps every checked graph alive, so no id() is reused
+
+    def counted(g):
+        calls[id(g)] = calls.get(id(g), 0) + 1
+        seen.append(g)
+        return graphs.is_two_connected(g)
+
+    monkeypatch.setattr(sampling, "is_two_connected", counted)
+    monkeypatch.setattr(recurrence, "is_two_connected", counted)
+    subdivision_pairs = [sampling.sample_subdivision_pair(rng, 8) for _ in range(20)]
+    triangle_pairs = [sampling.sample_triangle_pair(rng, 8) for _ in range(20)]
+    assert max(calls.values()) == 1
+    monkeypatch.undo()
+    assert all(subdivision_eligible(g, e) for g, e in subdivision_pairs)
+    assert all(triangle_eligible(g, e) for g, e in triangle_pairs)
+
+
 def test_nvol_on_disconnected_graph_multiplies_components():
     two_triangles = disjoint_union(generate("cycle", 3), generate("cycle", 3))
     res = nvol(two_triangles)
