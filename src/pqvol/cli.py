@@ -163,7 +163,8 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
             "value": result.value,
         }
         if show_trace:
-            payload["trace"] = {"version": 3, "nodes": recurrence.trace_rows(result.trace)}
+            rows = recurrence.trace_rows(result.trace)
+            payload["trace"] = {"version": recurrence.TRACE_VERSION, "nodes": rows}
         click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
     else:
         click.echo(str(result.value))

@@ -7,18 +7,19 @@ and every nonempty subset S of [n] satisfies
     sum(a_i for i in S)  <  |union of the D-neighborhoods of S|.
 
 Two independent deciders are provided: :func:`check_subset` evaluates the
-subset inequalities directly, and :func:`check_flow` reformulates them as a
-bipartite transportation feasibility question. They must agree everywhere;
-the test suite enforces this. Both are oracles for the enumerator, which
-shares no acceptance test with either: it tests strictness while it builds
-each sequence, by look-ahead augmentations, and never checks a finished one.
-It walks each position's values downward and stops at the first value whose
-subtree holds no sequence, since the values that extend a prefix form an
-interval; the listing is reversed once into lexicographic order.
+subset inequalities directly, all 2^n at once on packed integer lanes, and
+:func:`check_flow` reformulates them as a bipartite transportation
+feasibility question. They must agree everywhere; the test suite enforces
+this. Both are oracles for the enumerator, which shares no acceptance test
+with either: it tests strictness while it builds each sequence, by
+look-ahead augmentations, and never checks a finished one. It walks each
+position's values downward and stops at the first value whose subtree holds
+no sequence, since the values that extend a prefix form an interval; the
+listing is reversed once into lexicographic order.
 
 The size caps live here and nowhere else: the enumerator (so count and
 enumerate_draconian) accepts at most MAX_N vertices, and check_subset, whose
-dense all-subsets tables grow as 2^n, at most SUBSET_MAX_N. Above a cap
+packed subset lanes grow as 2^n, at most SUBSET_MAX_N. Above a cap
 check_cap raises ResourceCapExceeded; the CLI calls it too, so a command
 that would cross a cap refuses before it does any work.
 """
@@ -28,12 +29,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .graphs import BipartiteDouble, Graph, build_double, from_edge_list, is_connected
-
-if TYPE_CHECKING:
-    import numpy as np
+from .graphs import BipartiteDouble, Graph, build_double, is_connected
 
 __all__ = [
     "DraconianSet",
@@ -49,7 +46,7 @@ __all__ = [
 ]
 
 MAX_N = 18  # largest vertex count the enumerator accepts
-SUBSET_MAX_N = 22  # largest vertex count with a dense subset table
+SUBSET_MAX_N = 22  # largest vertex count check_subset's packed lanes accept
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -114,27 +111,41 @@ def _validate_sequence(d: BipartiteDouble, a) -> tuple[int, ...]:
 # Subset decider
 
 
-def _popcount_table(d: BipartiteDouble) -> np.ndarray:
-    """|union of neighborhoods| for every subset bitmask, cached per double."""
-    table = d._cache.get("popcount_table")
-    if table is None:
-        import numpy as np
+# Every table is one int with a 6-bit lane per subset: subset S, a bitmask of
+# left vertices, owns bits 6*S .. 6*S+5. Bound lanes hold 32 + |N(S)| (lane
+# 0, the empty set, holds 33 so that it passes) and sum lanes hold a(S). For
+# n <= SUBSET_MAX_N both values stay <= 22 < 32, so bounds - sums - ones
+# borrows from no other lane and keeps a lane's guard bit (value 32) exactly
+# when a(S) < |N(S)|.
+_LANE = 6
+_GUARD = 1 << (_LANE - 1)
 
+
+def _subset_bounds(d: BipartiteDouble) -> int:
+    """Bound lanes 32 + |N(S)| for every subset S, cached per double: each
+    right vertex r takes one from the lanes of the subsets with no neighbour of r."""
+    bounds = d._cache.get("subset_bounds")
+    if bounds is None:
         n = d.n
-        union = np.zeros(1 << n, dtype=np.uint32)
+        ones = 1
         for b in range(n):
-            half = 1 << b
-            union[half : 2 * half] = union[:half] | np.uint32(d.neighborhoods[b])
-        table = np.bitwise_count(union).astype(np.uint8)
-        d._cache["popcount_table"] = table
-    return table
+            ones |= ones << (_LANE << b)
+        bounds = (_GUARD + n) * ones + 1
+        for r in range(n):
+            avoid = 1
+            for b, mask in enumerate(d.neighborhoods):
+                if not mask >> r & 1:
+                    avoid |= avoid << (_LANE << b)
+            bounds -= avoid
+        d._cache["subset_bounds"] = bounds
+    return bounds
 
 
 def check_subset(double: BipartiteDouble | Graph, a) -> bool:
-    """Decide draconian-hood by checking the subset inequalities.
+    """Decide draconian-hood by the subset inequalities; independent subset oracle.
 
-    Every nonempty subset is checked over dense all-subsets tables of 2^n
-    entries, so above SUBSET_MAX_N vertices it raises ResourceCapExceeded.
+    All subsets are checked at once on packed integer lanes, which grow as
+    2^n, so above SUBSET_MAX_N vertices it raises ResourceCapExceeded.
     """
     d = _coerce_double(double)
     n = d.n
@@ -142,15 +153,13 @@ def check_subset(double: BipartiteDouble | Graph, a) -> bool:
     seq = _validate_sequence(d, a)
     if sum(seq) != n - 1:
         return False
-    # numpy loads on this path only, so the CLI starts without it
-    import numpy as np
-
-    bounds = _popcount_table(d)
-    sums = np.zeros(1 << n, dtype=np.int16)
-    for b in range(n):
-        half = 1 << b
-        sums[half : 2 * half] = sums[:half] + np.int16(seq[b])
-    return bool(np.all(sums[1:] < bounds[1:]))
+    sums, ones = 0, 1
+    for b, x in enumerate(seq):
+        shift = _LANE << b
+        sums |= (sums + x * ones) << shift
+        ones |= ones << shift
+    guards = _GUARD * ones
+    return (_subset_bounds(d) - sums - ones) & guards == guards
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +391,8 @@ def _shard_prefixes(d: BipartiteDouble, workers: int) -> list[tuple[int, ...]]:
 
 
 def _shard_task(args):
-    n, edges, prefix, collect = args
-    return _dfs_run(build_double(from_edge_list(n, edges)), prefix, collect)
+    n, masks, prefix, collect = args
+    return _dfs_run(BipartiteDouble(n, masks), prefix, collect)
 
 
 def _run(g: Graph, workers: int, collect: bool):
@@ -395,7 +404,7 @@ def _run(g: Graph, workers: int, collect: bool):
     d = build_double(g)
     if workers <= 1:
         return _dfs_run(d, (), collect)
-    jobs = [(g.n, g.sorted_edges, p, collect) for p in _shard_prefixes(d, workers)]
+    jobs = [(d.n, d.neighborhoods, p, collect) for p in _shard_prefixes(d, workers)]
     # map yields results in job order whatever the pool size
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
         parts = list(pool.map(_shard_task, jobs))

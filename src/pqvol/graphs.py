@@ -478,7 +478,7 @@ class BipartiteDouble:
 
     n: int
     neighborhoods: tuple[int, ...]
-    # filled by pqvol.draconian (neighbour lists, popcount table); not compared
+    # filled by pqvol.draconian (neighbour lists, subset bound lanes); not compared
     _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
 

@@ -35,6 +35,7 @@ from .graphs import (
 __all__ = [
     "BijectionWitness",
     "IdentityCheck",
+    "TRACE_VERSION",
     "TraceNode",
     "VolumeResult",
     "clear_memo",
@@ -54,6 +55,8 @@ __all__ = [
     "triangle_step",
     "wheel_conjecture_value",
 ]
+
+TRACE_VERSION = 3  # of the --trace node table, text and JSON alike
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,7 @@ def trace_rows(root: TraceNode) -> list[dict]:
 
 
 def serialize_trace(node: TraceNode) -> str:
-    """The node table as text: a `# trace v3` line, then one line per row,
+    """The node table as text: a `# trace v<TRACE_VERSION>` line, then one line per row,
 
         n<id> <rule> <fingerprint> value=<v>[ [detail]][ <- n<c1> n<c2> ...]
 
@@ -376,7 +379,7 @@ def serialize_trace(node: TraceNode) -> str:
     written once however often it is used. A reverse-subdivision row's
     detail is `x=<x> k=<k>`.
     """
-    lines = ["# trace v3\n"]
+    lines = [f"# trace v{TRACE_VERSION}\n"]
     for row in trace_rows(node):
         line = f"n{row['id']} {row['rule']} {row['fingerprint']} value={row['value']}"
         if row["detail"]:

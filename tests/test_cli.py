@@ -412,3 +412,40 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+_WITHOUT_NUMPY = """
+import sys
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoNumpy())
+
+from click.testing import CliRunner
+from pqvol import cli
+from pqvol.draconian import check_flow, check_subset
+from pqvol.graphs import build_double, generate
+from pqvol.sampling import compositions
+
+for spec in (("cycle", 5), ("complete", 5)):
+    d = build_double(generate(*spec))
+    for comp in compositions(d.n - 1, d.n):
+        assert check_subset(d, comp) == check_flow(d, comp), (spec, comp)
+result = CliRunner().invoke(cli.main, ["verify", "checkers", "--n-max", "7"])
+assert result.exit_code == 0, result.output
+assert "numpy" not in sys.modules
+print("ok")
+"""
+
+
+def test_pqvol_runs_with_numpy_unimportable():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, text=True, env=env
+    )
+    assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from pqvol.graphs import (
     generate,
     permute_vertices,
 )
+from pqvol.sampling import random_connected_graph
 
 from conftest import compositions, connected_catalog
 
@@ -125,6 +127,23 @@ def test_enumeration_and_subset_caps():
     assert count(disjoint_union(generate("cycle", 10), generate("cycle", 10))) == 0
     with pytest.raises(ResourceCapExceeded, match="23 vertices exceeds the cap of 22"):
         check_subset(generate("cycle", 23), (1,) * 22 + (0,))
+
+
+def test_subset_lanes_hold_at_the_cap():
+    # a(S) and |N(S)| reach 21 and 22 here, the most a 6-bit lane must hold
+    # below its guard bit without borrowing from the next lane
+    for n in (SUBSET_MAX_N - 1, SUBSET_MAX_N):
+        seq = (n - 1,) + (0,) * (n - 1)
+        for family, want in (("complete", True), ("path", False)):
+            d = build_double(generate(family, n))
+            assert check_subset(d, seq) == check_flow(d, seq) == want
+    rng = random.Random(22)
+    d = build_double(random_connected_graph(SUBSET_MAX_N, rng))
+    for _ in range(10):
+        seq = [0] * SUBSET_MAX_N
+        for _ in range(SUBSET_MAX_N - 1):
+            seq[rng.randrange(SUBSET_MAX_N)] += 1
+        assert check_subset(d, seq) == check_flow(d, seq)
 
 
 def test_subset_leaf_checker_agrees_with_flow():
