@@ -12,10 +12,12 @@ subset inequalities directly, all 2^n at once on packed integer lanes, and
 feasibility question. They must agree everywhere; the test suite enforces
 this. Both are oracles for the enumerator, which shares no acceptance test
 with either: it tests strictness while it builds each sequence, by
-look-ahead augmentations, and never checks a finished one. It walks each
-position's values downward and stops at the first value whose subtree holds
-no sequence, since the values that extend a prefix form an interval; the
-listing is reversed once into lexicographic order.
+look-ahead augmentations, and never checks a finished one. It visits the
+vertices in a low-width order taken from the graph's structure, so its cost
+does not depend on the labels. It walks each position's values downward and
+stops at the first value whose subtree holds no sequence, since the values
+that extend a prefix form an interval, and settles the last two positions in
+one loop; the listing is sorted once into lexicographic label order.
 
 The size caps live here and nowhere else: the enumerator (so count and
 enumerate_draconian) accepts at most MAX_N vertices, and check_subset, whose
@@ -277,18 +279,57 @@ def check_flow(double: BipartiteDouble | Graph, a) -> bool:
 # Enumeration
 
 
+def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
+    """Vertex labels in the order _dfs_run walks its positions; cached per k.
+
+    Labels 1..k come first, since a shard prefix forces them. Then each step
+    places the vertex that leaves the fewest right vertices adjacent both to
+    the placed vertices and to the rest (the width), breaking ties in favour
+    of a neighbour of the last placed vertex, then by the smaller label.
+    Counts of unplaced neighbours per right vertex make a step O(n * degree).
+    """
+    order = d._cache.get(("search_order", k))
+    if order is not None:
+        return order
+    nbrs = _neighbor_lists(d)
+    rest = [len(row) for row in nbrs]  # unplaced left neighbours (the double is symmetric)
+    held = bytearray(d.n + 1)  # right vertices with a placed left neighbour
+    order = []
+    unplaced = set(range(k + 1, d.n + 1))
+    for step in range(d.n):
+        v = step + 1
+        if v > k:
+            last = nbrs[order[-1]] if order else ()
+            # placing u changes the width by the sum over r in N(u) of
+            # [r keeps an unplaced neighbour] - [r was already held]
+            v = min(unplaced, key=lambda u: (
+                sum((rest[r] > 1) - held[r] for r in nbrs[u]), u not in last, u))
+            unplaced.remove(v)
+        order.append(v)
+        for r in nbrs[v]:
+            rest[r] -= 1
+            held[r] = 1
+    order = d._cache[("search_order", k)] = tuple(order)
+    return order
+
+
 def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     """Depth-first enumeration of draconian sequences extending prefix.
 
     Returns the lexicographic list of full sequences (collect=True) or their
-    number (collect=False). An incrementally maintained unit routing holds
-    a_1..a_{t-1} when position t is reached, and position t accepts val only
-    if, with val units routed from t, one more augmentation from t succeeds.
+    number (collect=False). Position t works on vertex order[t - 1] of
+    _search_order, with the right vertices renumbered by the same order, so
+    neither the walk nor Kuhn's search sees a label; leaves write each value
+    into its label slot, and prefix fixes a_1..a_k in label coordinates.
+
+    An incrementally maintained unit routing holds the values of positions
+    1..t-1 when position t is reached, and position t accepts val only if,
+    with val units routed from t, one more augmentation from t succeeds.
     That look-ahead is exact: a routing of a + e_t on [t] exists iff Hall's
     condition a(S) + [t in S] <= |N(S)| holds for every S in [t], and an
     augmenting path exists iff a larger routing does. The sets without t
     were certified at their own largest position, so the look-ahead decides
-    precisely the strict inequalities a(S) < |N(S)| whose largest vertex
+    precisely the strict inequalities a(S) < |N(S)| whose largest position
     is t. a(S) grows with val, so position t routes units from t until an
     augmentation fails or hi + 1 units are placed; the accepted values are
     0 up to one less than the units placed, and each saved path is one
@@ -296,24 +337,40 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
 
     The values are then walked downward. Each step undoes one saved path,
     so the routing holds exactly val units, and descends. The draconian
-    sequences are the bases of an integral polymatroid, so with the prefix
-    fixed, rem = n - 1 - a_1 - ... - a_{t-1} units left, and a_t = val, the
-    later positions can carry min(M, rem - val) units, where M is what they
-    carry with a_t = 0. Hence val extends the prefix iff val >= rem - M, and
-    the values that do form the interval [max(0, rem - M), top accepted
-    value]. The first child whose subtree reaches no leaf therefore ends the
-    walk, and so does the cheaper necessary test rem - val <= (sum of the
-    later caps); an empty subtree costs one root-to-leaf path. dfs returns
-    whether its subtree reached a leaf. Every leaf the search reaches is a
-    draconian sequence; none is checked after the fact. Leaves arrive in
-    reverse lexicographic order, so the listing is reversed once at the end.
-    The same loop forces the prefix: at t <= len(prefix) it routes at most
-    prefix[t - 1] + 1 units and descends only at that value. Each prefix run
-    reverses its own listing, so shards still concatenate in prefix order.
+    sequences are the bases of an integral polymatroid, so with the earlier
+    positions fixed, rem units left, and val at t, the later positions can
+    carry min(M, rem - val) units, where M is what they carry with val = 0.
+    Hence val extends the prefix iff val >= rem - M, and the values that do
+    form the interval [max(0, rem - M), top accepted value]. The first child
+    whose subtree reaches no leaf therefore ends the walk, and so does the
+    cheaper necessary test rem - val <= (sum of the later caps); an empty
+    subtree costs one path down to position n - 1. dfs returns whether its
+    subtree reached a leaf. Every leaf the search reaches is a draconian
+    sequence; none is checked after the fact. The same loop forces the
+    prefix: at t <= k it routes at most prefix[t - 1] + 1 units and descends
+    only at that value.
+
+    Positions n - 1 and n (unless the prefix forces n - 1) share one loop:
+    n takes rem - val, so each val needs only the look-ahead of n. For
+    val = top, release one right vertex held by n - 1 and augment from n
+    rem - val + 1 times; for each smaller val release one more, so the last
+    look-ahead unit of n becomes a real one and one augmentation is the next
+    look-ahead. Which unit is released does not matter: whether an
+    augmenting path exists depends on the demands, not on the routing that
+    meets them (Berge). By the interval argument the loop stops at the first
+    failed look-ahead or when rem - val exceeds the cap of n. Its flips and
+    releases go on one log, undone last-in first-out. The listing is sorted
+    once at the end; each prefix run sorts its own, so shards still
+    concatenate in prefix order.
     """
     n = d.n
     total = n - 1
-    nbrs = _neighbor_lists(d)
+    k = len(prefix)
+    order = _search_order(d, k)
+    pos = {v: t for t, v in enumerate(order, 1)}
+    labelled = _neighbor_lists(d)
+    nbrs = [()] + [tuple(sorted(pos[r] for r in labelled[v])) for v in order]
+    slot = [0] + [v - 1 for v in order]
 
     caps = [0] * (n + 2)
     for i in range(1, n + 1):
@@ -323,16 +380,16 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
         suffix[i] = suffix[i + 1] + caps[i]
 
     match_right = [0] * (n + 1)
-    current = [0] * (n + 1)
+    current = [0] * n
     out: list[tuple[int, ...]] = []
     counter = 0
-    k = len(prefix)
+    last, cap_n, slot_last, slot_n = n - 1, caps[n], slot[n - 1], slot[n]
 
     def dfs(t: int, acc: int) -> bool:
         nonlocal counter
         if t > n:
             if collect:
-                out.append(tuple(current[1:]))
+                out.append(tuple(current))
             else:
                 counter += 1
             return True
@@ -343,6 +400,34 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             lo = prefix[t - 1]
             if lo < hi:
                 hi = lo
+        elif t == last:
+            log: list[tuple[int, int]] = []
+            val = -1
+            while val < hi and _kuhn_augment(t, nbrs, match_right, log):
+                val += 1
+            need = rem_total - val + 1
+            leaves = 0
+            while val >= 0 and rem_total - val <= cap_n:
+                for r in nbrs[t]:
+                    if match_right[r] == t:
+                        break
+                log.append((r, t))
+                match_right[r] = 0
+                while need and _kuhn_augment(n, nbrs, match_right, log):
+                    need -= 1
+                if need:
+                    break
+                if collect:
+                    current[slot_last] = val
+                    current[slot_n] = rem_total - val
+                    out.append(tuple(current))
+                leaves += 1
+                val -= 1
+                need = 1
+            for r, j in reversed(log):
+                match_right[r] = j
+            counter += leaves
+            return leaves > 0
         trails: list[list[tuple[int, int]]] = []
         while len(trails) <= hi:
             trail: list[tuple[int, int]] = []
@@ -356,7 +441,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             # one path flips each right vertex once, so order is free here
             for r, j in trails.pop():
                 match_right[r] = j
-            current[t] = val
+            current[slot[t]] = val
             if not dfs(t + 1, acc + val):
                 break
             reached = True
@@ -372,15 +457,18 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     # counting instead of waiting for the cyclic collector.
     del dfs
     if collect:
-        out.reverse()
+        out.sort()
     return out if collect else counter
 
 
 def _shard_prefixes(d: BipartiteDouble, workers: int) -> list[tuple[int, ...]]:
     """Fixed first-coordinate prefixes whose completions partition the search.
 
-    Sharding fixes a_1 (and a_2 when more shards help); concatenating shard
-    results in prefix order reproduces the unsharded lexicographic output.
+    Sharding fixes a_1 (and a_2 when more shards help), in label coordinates:
+    _search_order puts labels 1..k first, so a prefix run forces them and
+    orders the rest by width. Each run sorts its own listing, so
+    concatenating shard results in prefix order reproduces the unsharded
+    lexicographic output.
     """
     total = d.n - 1
     cap1 = min(d.neighborhoods[0].bit_count() - 1, total)

@@ -229,15 +229,23 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
         generate("star", 6),
         generate("complete_bipartite", 2, 4),
         # relabelled so that low values at the early positions leave more
-        # units than the later positions take: many children end empty
+        # units than the later positions take: many children end empty,
+        # last-two subtrees among them
         permute_vertices(generate("cycle", 9), {i: 2 * i % 9 + 1 for i in range(1, 10)}),
+        # n = 2: the serial root is position n - 1, settled with n in one
+        # loop, and every prefix forces it
+        generate("path", 2),
+        # n = 3 at 64 workers: the two-coordinate prefix forces position
+        # n - 1, so n is searched on its own
+        generate("path", 3),
+        generate("complete", 3),
     ],
 )
 @pytest.mark.parametrize("workers", [2, 64])
 def test_forced_prefix_runs_match_the_serial_listing(g, workers):
     # one- and two-coordinate prefixes, some with no completion, each forced
     # through the search loop in-process, so no pool starts; each run
-    # reverses its own downward-walk listing
+    # sorts its own listing
     d = build_double(g)
     serial = draconian._dfs_run(d, (), True)
     prefixes = draconian._shard_prefixes(d, workers)
@@ -267,15 +275,28 @@ def test_catalog_count_total_up_to_7():
     assert sum(count(g) for g in connected_catalog(7)) == 421_461
 
 
+def _relabelled(g, seed):
+    image = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(image)
+    return permute_vertices(g, dict(zip(range(1, g.n + 1), image)))
+
+
 @pytest.mark.parametrize(
-    "spec,sequences,augmentations",
-    [(("cycle", 13), 26_624, 157_481), (("wheel", 10), 58_026, 242_863)],
-    ids=["cycle:13", "wheel:10"],
+    "spec,sequences,augmentations,seed",
+    [
+        pytest.param(spec, sequences, augmentations, seed,
+                     id=f"{spec[0]}:{spec[1]}" + (f"-relabelled-{seed}" if seed else ""))
+        for spec, sequences, augmentations in [
+            (("cycle", 13), 26_624, 133_417),
+            (("wheel", 10), 58_026, 192_084),
+        ]
+        for seed in (None, 1, 2, 3)
+    ],
 )
-def test_search_effort_is_pinned(monkeypatch, spec, sequences, augmentations):
+def test_search_effort_is_pinned(monkeypatch, spec, sequences, augmentations, seed):
     # top-level augmentations: the look-aheads and the units routed per
-    # position. An ascending walk that descends into every value passing
-    # the look-ahead makes 275,366 and 288,068.
+    # position. The search order follows the graph's structure, not its
+    # labels, so a relabelled graph costs exactly as much.
     calls = 0
     augment = draconian._kuhn_augment
 
@@ -285,6 +306,7 @@ def test_search_effort_is_pinned(monkeypatch, spec, sequences, augmentations):
             calls += 1
         return augment(i, nbrs, match_right, trail, visited)
 
+    g = generate(*spec)
     monkeypatch.setattr(draconian, "_kuhn_augment", counted)
-    assert count(generate(*spec)) == sequences
+    assert count(g if seed is None else _relabelled(g, seed)) == sequences
     assert calls == augmentations

@@ -5,6 +5,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqvol import draconian
 from pqvol.draconian import check_flow, check_subset, count, enumerate_draconian
 from pqvol.graphs import (
     build_double,
@@ -69,6 +70,27 @@ def graph_and_permutation(draw):
 def test_count_is_relabeling_invariant(case):
     g, perm = case
     assert count(permute_vertices(g, perm)) == count(g)
+
+
+@given(graph_and_permutation())
+@settings(max_examples=60, deadline=None)
+def test_listings_follow_relabellings(case):
+    # the search walks an order chosen from the graph's structure, yet lists
+    # in label order, serially and over the shard prefixes
+    g, perm = case
+    h = permute_vertices(g, perm)
+    want = []
+    for s in enumerate_draconian(g):
+        moved = [0] * g.n
+        for i, x in enumerate(s, 1):
+            moved[perm[i] - 1] = x
+        want.append(tuple(moved))
+    want.sort()
+    assert list(enumerate_draconian(h).entry_tuples()) == want
+    d = build_double(h)
+    for workers in (2, 64):
+        prefixes = draconian._shard_prefixes(d, workers)
+        assert [s for p in prefixes for s in draconian._dfs_run(d, p, True)] == want
 
 
 @given(st.integers(0, 2**32 - 1))
