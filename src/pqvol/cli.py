@@ -8,13 +8,12 @@ trailing section so the rest of the output is byte-stable.
 `nvol --trace` prints the derivation as a node table (recurrence.trace_rows):
 each distinct step once, children before parents, referred to by id. The
 text form starts with `# trace v3`; under --json the same rows sit in
-"trace": {"version": 3, "nodes": [...]}. Version 3 undoes a whole degree-2
-thread in one reverse-subdivision step: its children are (G_1, H), its
-detail is `x=<x> k=<k>` and its JSON row carries the thread length as "k",
-so a version 2 reader would recombine those rows wrongly.
+"trace": {"version": 3, "nodes": [...]}. A version 2 reader cannot read
+v3, since a v3 reverse-subdivision row undoes a whole degree-2 thread whose
+length k that reader would ignore.
 
 Exit codes: 0 all comparisons passed, 1 some comparison failed, 2 the input
-could not be parsed, 3 a resource cap was hit.
+could not be parsed or --out cannot be written, 3 a resource cap was hit.
 """
 
 from __future__ import annotations
@@ -65,19 +64,12 @@ def _load_graph(spec: str, seed: int | None) -> Graph:
     raise click.UsageError(f"{spec!r} is neither a known family spec nor a file")
 
 
-def _resource_exit(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_EXIT_RESOURCE)
-
-
 @dataclass
 class RunReport:
     """Deterministic run summary; timing is kept in a separate section."""
 
     command: str
-    fingerprint: str = "-"
     seed: int | None = None
-    values: dict[str, object] = field(default_factory=dict)
     cases: list[tuple[str, bool, str]] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -89,11 +81,9 @@ class RunReport:
         lines = [
             "# report v1",
             f"command: {self.command}",
-            f"fingerprint: {self.fingerprint}",
+            "fingerprint: -",
             f"seed: {self.seed if self.seed is not None else '-'}",
         ]
-        for key in sorted(self.values):
-            lines.append(f"value: {key}={self.values[key]}")
         for name, passed, detail in self.cases:
             suffix = f" ({detail})" if detail else ""
             lines.append(f"case: {name} {'pass' if passed else 'FAIL'}{suffix}")
@@ -106,9 +96,9 @@ class RunReport:
     def to_json(self) -> str:
         payload = {
             "command": self.command,
-            "fingerprint": self.fingerprint,
+            "fingerprint": "-",
             "seed": self.seed,
-            "values": {k: self.values[k] for k in sorted(self.values)},
+            "values": {},
             "cases": [
                 {"name": n, "ok": p, "detail": d} for n, p, d in self.cases
             ],
@@ -118,11 +108,18 @@ class RunReport:
         return jsonlib.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit(report: RunReport, as_json: bool) -> None:
-    click.echo(report.to_json() if as_json else report.to_text(), nl=False)
+class _Main(click.Group):
+    """The command group: a command that hits a size cap exits 3 here."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except draconian.ResourceCapExceeded as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(_EXIT_RESOURCE)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="pqvol")
 def main() -> None:
     """Exact normalized volumes of graph adjacency polytopes."""
@@ -151,10 +148,7 @@ def main() -> None:
 def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
     """Print the exact normalized volume of GRAPH_SPEC."""
     g = _load_graph(graph_spec, seed)
-    try:
-        result = recurrence.nvol(g, strategy=strategy, workers=workers)
-    except draconian.ResourceCapExceeded as exc:
-        _resource_exit(exc)
+    result = recurrence.nvol(g, strategy=strategy, workers=workers)
     if as_json:
         payload = {
             "command": "nvol",
@@ -184,10 +178,7 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
 def cmd_enum(graph_spec, workers, seed, as_json) -> None:
     """List every draconian sequence of GRAPH_SPEC in lexicographic order."""
     g = _load_graph(graph_spec, seed)
-    try:
-        ds = draconian.enumerate_draconian(g, workers=workers)
-    except draconian.ResourceCapExceeded as exc:
-        _resource_exit(exc)
+    ds = draconian.enumerate_draconian(g, workers=workers)
     if as_json:
         payload = {
             "command": "enum",
@@ -362,15 +353,15 @@ def _suite_bijections(n_max: int, seed: int, samples: int):
     return cases
 
 
+# suite -> (its runner, the smallest --n-max it can sample from): subdivision
+# pairs need four vertices, the forest samples two; the checker suite caps
+# its sizes at --n-max
 _SUITES = {
-    "recurrences": _suite_recurrences,
-    "checkers": _suite_checkers,
-    "formulas": _suite_formulas,
-    "bijections": _suite_bijections,
+    "recurrences": (_suite_recurrences, 4),
+    "checkers": (_suite_checkers, 1),
+    "formulas": (_suite_formulas, 2),
+    "bijections": (_suite_bijections, 4),
 }
-# Smallest --n-max each suite can sample from: subdivision pairs need four
-# vertices, the forest samples two; the checker suite caps its sizes at it.
-_SUITE_MIN_N = {"recurrences": 4, "checkers": 1, "formulas": 2, "bijections": 4}
 
 
 @main.command("verify")
@@ -381,23 +372,21 @@ _SUITE_MIN_N = {"recurrences": 4, "checkers": 1, "formulas": 2, "bijections": 4}
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(suite, n_max, seed, samples, as_json) -> None:
     """Run a property suite; nonzero exit when any case fails."""
-    if n_max < _SUITE_MIN_N[suite]:
+    run, smallest = _SUITES[suite]
+    if n_max < smallest:
         raise click.BadParameter(
-            f"{n_max} is below {_SUITE_MIN_N[suite]}, the smallest size {suite} samples",
+            f"{n_max} is below {smallest}, the smallest size {suite} samples",
             param_hint="'--n-max'",
         )
     start = time.perf_counter()
-    try:
-        cases = _SUITES[suite](n_max, seed, samples)
-    except draconian.ResourceCapExceeded as exc:
-        _resource_exit(exc)
+    cases = run(n_max, seed, samples)
     report = RunReport(
         command=f"verify {suite} --n-max {n_max} --seed {seed} --samples {samples}",
         seed=seed,
         cases=cases,
         elapsed=time.perf_counter() - start,
     )
-    _emit(report, as_json)
+    click.echo(report.to_json() if as_json else report.to_text(), nl=False)
     sys.exit(0 if report.ok else _EXIT_FAIL)
 
 
@@ -414,26 +403,28 @@ def _record_line(rec: dict) -> str:
     )
 
 
+def _record(g: Graph, label: str, formula: int, conjectural: bool, workers: int) -> dict:
+    """One scan record: formula against the enumeration oracle's count of g."""
+    oracle = draconian.count(g, workers=workers)
+    return {
+        "fp": graph_fingerprint(g),
+        "label": label,
+        "formula": formula,
+        "oracle": oracle,
+        "agree": formula == oracle,
+        "conjectural": conjectural,
+        "graph": g,
+    }
+
+
 def _scan_wheels(n_max: int, seed: int, samples: int, workers: int):
     # wheel:n has n + 1 vertices: refuse before counting the smaller wheels
     draconian.check_cap(n_max + 1, draconian.MAX_N, f"enumerating wheel:{n_max}")
-    records = []
-    for n in range(3, n_max + 1):
-        g = generate("wheel", n)
-        formula = recurrence.wheel_conjecture_value(n)
-        oracle = draconian.count(g, workers=workers)
-        records.append(
-            {
-                "fp": graph_fingerprint(g),
-                "label": f"wheel:{n}",
-                "formula": formula,
-                "oracle": oracle,
-                "agree": formula == oracle,
-                "conjectural": True,
-                "graph": g,
-            }
-        )
-    return records
+    formula = recurrence.wheel_conjecture_value
+    return [
+        _record(generate("wheel", n), f"wheel:{n}", formula(n), True, workers)
+        for n in range(3, n_max + 1)
+    ]
 
 
 def _scan_outerplanar(n_max: int, seed: int, samples: int, workers: int):
@@ -446,22 +437,25 @@ def _scan_outerplanar(n_max: int, seed: int, samples: int, workers: int):
         sub_seed = rng.getrandbits(63)
         g = generate("random_outerplanar", n, seed=sub_seed)
         formula, conjectural = outerplanar.nvol_outerplanar(g)
-        oracle = draconian.count(g, workers=workers)
-        records.append(
-            {
-                "fp": graph_fingerprint(g),
-                "label": f"outerplanar:n{n}s{sub_seed}",
-                "formula": formula,
-                "oracle": oracle,
-                "agree": formula == oracle,
-                "conjectural": conjectural,
-                "graph": g,
-            }
-        )
+        records.append(_record(g, f"outerplanar:n{n}s{sub_seed}", formula, conjectural, workers))
     return records
 
 
 _SCANS = {"wheels": _scan_wheels, "outerplanar-conjecture": _scan_outerplanar}
+
+
+def _writable(ctx, param, out: str | None) -> str | None:
+    """Refuse an --out path that cannot be appended to, before any work and
+    without creating it, so that a run refused at a cap leaves no file."""
+    if out:
+        if os.path.exists(out):
+            ok = os.access(out, os.W_OK)
+        else:
+            parent = os.path.dirname(os.path.abspath(out))
+            ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+        if not ok:
+            raise click.BadParameter(f"cannot write {out!r}")
+    return out
 
 
 @main.command("scan")
@@ -470,7 +464,13 @@ _SCANS = {"wheels": _scan_wheels, "outerplanar-conjecture": _scan_outerplanar}
 @click.option("--n-max", type=click.IntRange(min=3), default=6, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--samples", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="append records to this file")
+@click.option(
+    "--out",
+    type=click.Path(dir_okay=False),
+    default=None,
+    callback=_writable,
+    help="append records to this file",
+)
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_scan(target, n_max, seed, samples, out, workers, as_json) -> None:
@@ -479,10 +479,7 @@ def cmd_scan(target, n_max, seed, samples, out, workers, as_json) -> None:
     wheels checks wheel:3 .. wheel:N-MAX and ignores --seed and --samples.
     """
     start = time.perf_counter()
-    try:
-        records = _SCANS[target](n_max, seed, samples, workers)
-    except draconian.ResourceCapExceeded as exc:
-        _resource_exit(exc)
+    records = _SCANS[target](n_max, seed, samples, workers)
     records.sort(key=lambda r: (r["fp"], r["label"]))
     lines = [_record_line(r) for r in records]
 

@@ -28,6 +28,7 @@ that would cross a cap refuses before it does any work.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +45,6 @@ __all__ = [
     "check_subset",
     "count",
     "enumerate_draconian",
-    "sequences_to_text",
 ]
 
 MAX_N = 18  # largest vertex count the enumerator accepts
@@ -84,24 +84,16 @@ class DraconianSet:
         return frozenset(self.sequences)
 
     def to_text(self) -> str:
-        return sequences_to_text(self.sequences)
-
-
-def sequences_to_text(seqs) -> str:
-    """One sequence per line, space-separated integers, newline-terminated."""
-    return "".join(" ".join(str(x) for x in s) + "\n" for s in seqs)
-
-
-def _coerce_double(obj: BipartiteDouble | Graph) -> BipartiteDouble:
-    if isinstance(obj, BipartiteDouble):
-        return obj
-    if isinstance(obj, Graph):
-        return build_double(obj)
-    raise TypeError(f"expected BipartiteDouble or Graph, got {type(obj).__name__}")
+        """One sequence per line, space-separated integers, newline-terminated."""
+        return "".join(" ".join(map(str, s)) + "\n" for s in self.sequences)
 
 
 def _validate_sequence(d: BipartiteDouble, a) -> tuple[int, ...]:
-    seq = tuple(int(x) for x in a)
+    if not isinstance(d, BipartiteDouble):
+        raise TypeError(
+            f"expected a BipartiteDouble, got {type(d).__name__}; pass build_double(g)"
+        )
+    seq = tuple(map(operator.index, a))
     if len(seq) != d.n:
         raise ValueError(f"sequence length {len(seq)} != n = {d.n}")
     if any(x < 0 for x in seq):
@@ -143,16 +135,15 @@ def _subset_bounds(d: BipartiteDouble) -> int:
     return bounds
 
 
-def check_subset(double: BipartiteDouble | Graph, a) -> bool:
+def check_subset(d: BipartiteDouble, a) -> bool:
     """Decide draconian-hood by the subset inequalities; independent subset oracle.
 
     All subsets are checked at once on packed integer lanes, which grow as
     2^n, so above SUBSET_MAX_N vertices it raises ResourceCapExceeded.
     """
-    d = _coerce_double(double)
+    seq = _validate_sequence(d, a)
     n = d.n
     check_cap(n, SUBSET_MAX_N, "subset check")
-    seq = _validate_sequence(d, a)
     if sum(seq) != n - 1:
         return False
     sums, ones = 0, 1
@@ -251,7 +242,7 @@ def _all_reach_free(nbrs, match_right, n) -> bool:
     return left_count == n
 
 
-def check_flow(double: BipartiteDouble | Graph, a) -> bool:
+def check_flow(d: BipartiteDouble, a) -> bool:
     """Decide draconian-hood via transportation feasibility; independent flow oracle.
 
     Routing a_i units from each left vertex into unit-capacity right
@@ -260,7 +251,6 @@ def check_flow(double: BipartiteDouble | Graph, a) -> bool:
     along an alternating path (equivalently, the routing stays feasible with
     any single right vertex removed).
     """
-    d = _coerce_double(double)
     seq = _validate_sequence(d, a)
     n = d.n
     if sum(seq) != n - 1:

@@ -236,12 +236,6 @@ def _gen_random_outerplanar(n: int, rng: random.Random) -> Graph:
     return from_edge_list(n, edges)
 
 
-_FAMILY_ALIASES = {
-    "kmm": "complete_minus_matching",
-    "kn": "complete",
-    "kmn": "complete_bipartite",
-}
-
 # name -> (builder, number of parameters); random_* builders also take an rng
 _FAMILIES = {
     "path": (_gen_path, 1),
@@ -263,16 +257,15 @@ def generate(family: str, *params: int, seed: int | None = None) -> Graph:
     (rim length), complete_minus_matching (n, k), random_tree, random_outerplanar.
     The random families require a seed and are reproducible given one.
     """
-    name = _FAMILY_ALIASES.get(family, family)
-    if name not in _FAMILIES:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    builder, arity = _FAMILIES[name]
+    builder, arity = _FAMILIES[family]
     if len(params) != arity:
-        raise ValueError(f"family {name} takes {arity} parameter(s), got {params}")
-    if not name.startswith("random_"):
+        raise ValueError(f"family {family} takes {arity} parameter(s), got {params}")
+    if not family.startswith("random_"):
         return builder(*params)
     if seed is None:
-        raise ValueError(f"family {name} requires a seed")
+        raise ValueError(f"family {family} requires a seed")
     return builder(*params, random.Random(seed))
 
 

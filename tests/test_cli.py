@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -210,11 +211,54 @@ def test_verify_json(runner):
 
 def test_verify_failure_exits_1(runner, monkeypatch):
     monkeypatch.setitem(
-        cli._SUITES, "recurrences", lambda n, s, k: [("forced", False, "broken")]
+        cli._SUITES, "recurrences", (lambda n, s, k: [("forced", False, "broken")], 4)
     )
     result = runner.invoke(cli.main, ["verify", "recurrences"])
     assert result.exit_code == 1
     assert "case: forced FAIL (broken)" in result.output
+
+
+_SMALL = ["--n-max", "5", "--samples", "3", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["verify", "recurrences", *_SMALL],
+         "85bfb45fe1cf3de9c2d6a1c4c4ef1e6f0361730560a6d0ed81da74874180b7fe"),
+        (["verify", "recurrences", *_SMALL, "--json"],
+         "ab81415e8a120f1fa9a2e7b8f3bd419d57b377dc23cdf36bc7393ea786e7f1ec"),
+        (["verify", "checkers", *_SMALL],
+         "f7f85acdbad69902310236efac7b50149ee3472dfbd216933e55536c8301bbe3"),
+        (["verify", "checkers", *_SMALL, "--json"],
+         "967cb109a6d876dfd4ead62ba12f89dbaedac00c12912dbbab679f5efa002345"),
+        (["verify", "formulas", *_SMALL],
+         "dbe69ef56e80f9a19ff846b04d1ddb5f1a1ef7e36e6c0d39ed735b0ea478c382"),
+        (["verify", "formulas", *_SMALL, "--json"],
+         "792290a96f7540ae17c268f38f17d1086d3638a183a8d0740b80bce1ef695092"),
+        (["verify", "bijections", *_SMALL],
+         "169974ece983122cec47b90dc95782264fd68b94302bbf794e546237b727d67d"),
+        (["verify", "bijections", *_SMALL, "--json"],
+         "2ade9b05c26b5a91bff8d8e65d05216ca895e4f0b54a38531d4b9bda136046c6"),
+        (["scan", "wheels", "--n-max", "6"],
+         "addaf226c2e84f50587f41eee6043617f15195f048ca254110ee34b5376b2f53"),
+        (["scan", "wheels", "--n-max", "6", "--json"],
+         "ddd187b47f146ac383d6fabe4555c151b5f91d477df8299eee590a97495b0ac4"),
+        (["scan", "outerplanar-conjecture", "--n-max", "7", "--samples", "6", "--seed", "3"],
+         "57d4c0da2e6c969e5858bd05611e9f1ce00ff951206437be2d0b4dc879703956"),
+        (["scan", "outerplanar-conjecture", "--n-max", "7", "--samples", "6", "--seed", "3",
+          "--json"],
+         "55659e1edbf85cf941543a41745657554ae534c00af494ba8320a77f15c6c7d8"),
+    ],
+)
+def test_report_bytes_are_pinned(runner, args, digest):
+    # the reports are byte-stable apart from timing: strip the "# timing"
+    # section and the "timing" key, then compare with the digests taken
+    # when these reports were first pinned
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    out = re.sub(r'\n  "timing": \{[^{}]*\},?', "", strip_timing(result.stdout))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 @pytest.mark.parametrize(
@@ -350,6 +394,24 @@ def test_scan_out_file_appends_with_single_header(runner, tmp_path):
     assert lines[0] == "# pqvol scan v1"
     assert sum(ln.startswith("#") for ln in lines) == 1
     assert sum(ln.startswith("record ") for ln in lines) == 8
+
+
+def test_unwritable_scan_out_exits_2_before_any_work(runner, monkeypatch, tmp_path):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("no count may run before --out is known to be writable")
+
+    monkeypatch.setattr(draconian, "count", refuse)
+    (tmp_path / "file").touch()
+    for out in (tmp_path / "missing" / "x", tmp_path / "file" / "x"):
+        result = runner.invoke(cli.main, ["scan", "wheels", "--n-max", "3", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--out'" in result.output
+        assert not out.exists()
+    # a run refused at a cap creates no file either
+    out = tmp_path / "capped.txt"
+    result = runner.invoke(cli.main, ["scan", "wheels", "--n-max", "18", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert not out.exists()
 
 
 def test_scan_json(runner):

@@ -15,7 +15,6 @@ from pqvol.draconian import (
     check_subset,
     count,
     enumerate_draconian,
-    sequences_to_text,
 )
 from pqvol.graphs import (
     build_double,
@@ -44,7 +43,9 @@ def test_star_listing_is_byte_exact():
         (1, 2, 0, 0),
     ]
     assert got.entry_tuples() == tuple(expected)
-    assert got.to_text() == sequences_to_text(expected)
+    assert got.to_text() == (
+        "0 1 1 1\n0 2 0 1\n0 2 1 0\n0 3 0 0\n1 0 1 1\n1 1 0 1\n1 1 1 0\n1 2 0 0\n"
+    )
     assert got.count == 8
 
 
@@ -100,13 +101,20 @@ def test_checkers_validate_input(checker):
         checker(d, (1, 1))
     with pytest.raises(ValueError):
         checker(d, (1, 1, -1))
+    # entries must be integers: a float or a string is not rounded or parsed
+    for seq in ((2.5, 0, 0), (1.9, 1.2, 0), ("1", "1", "0")):
+        with pytest.raises(TypeError):
+            checker(d, seq)
 
 
-def test_checkers_accept_graph_argument():
+def test_checkers_reject_graph_argument():
+    # a checker takes the double, built once by the caller, never a graph
     g = generate("cycle", 3)
-    assert check_subset(g, (1, 1, 0)) == check_flow(g, (1, 1, 0)) is True
-    assert check_subset(g, (2, 0, 0)) == check_flow(g, (2, 0, 0)) is True
-    assert check_subset(g, (0, 0, 0)) == check_flow(g, (0, 0, 0)) is False
+    for checker in (check_subset, check_flow):
+        for arg in (g, g.n, None):
+            with pytest.raises(TypeError, match="build_double"):
+                checker(arg, (1, 1, 0))
+        assert checker(build_double(g), (1, 1, 0)) is True
 
 
 def test_checker_equivalence_on_small_catalog():
@@ -126,7 +134,7 @@ def test_enumeration_and_subset_caps():
     # disconnected graphs have no sequences whatever their size
     assert count(disjoint_union(generate("cycle", 10), generate("cycle", 10))) == 0
     with pytest.raises(ResourceCapExceeded, match="23 vertices exceeds the cap of 22"):
-        check_subset(generate("cycle", 23), (1,) * 22 + (0,))
+        check_subset(build_double(generate("cycle", 23)), (1,) * 22 + (0,))
 
 
 def test_subset_lanes_hold_at_the_cap():
