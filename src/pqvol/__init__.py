@@ -38,6 +38,7 @@ from .recurrence import (
     BijectionWitness,
     IdentityCheck,
     VolumeResult,
+    edge_step,
     nvol,
     nvol_complete_minus_matching,
     nvol_cycle,
@@ -66,6 +67,7 @@ __all__ = [
     "check_flow",
     "check_subset",
     "count",
+    "edge_step",
     "enumerate_draconian",
     "ewd_degrees",
     "from_edge_list",

@@ -10,7 +10,10 @@ each distinct step once, children before parents, referred to by id. The
 text form starts with `# trace v3`; under --json the same rows sit in
 "trace": {"version": 3, "nodes": [...]}. A version 2 reader cannot read
 v3, since a v3 reverse-subdivision row undoes a whole degree-2 thread whose
-length k that reader would ignore.
+length k that reader would ignore. Rows of rule reverse-ear (an ear undone by
+the edge identity, three children) keep the version at 3: a v3 reader
+without that rule stops on them with "unknown combination rule" rather than
+combining them wrongly, and a new version would change every trace's header.
 
 Exit codes: 0 all comparisons passed, 1 some comparison failed, 2 the input
 could not be parsed or --out cannot be written, 3 a resource cap was hit.
@@ -305,9 +308,14 @@ def _witness_case(kind, g, e):
     if kind == "subdivision":
         ident, wit = recurrence.subdivision_step(g, e)
         target = draconian.enumerate_draconian(subdivide(g, e)).entry_set()
-    else:
+    elif kind == "triangle":
         ident, wit = recurrence.triangle_step(g, e)
         target = draconian.enumerate_draconian(triangle_join(g, e)).entry_set()
+    else:
+        # the edge identity's map lands on D(g▵e) minus D(g:e), both listed here
+        ident, wit = recurrence.edge_step(g, e)
+        joined = draconian.enumerate_draconian(triangle_join(g, e)).entry_set()
+        target = joined - draconian.enumerate_draconian(subdivide(g, e)).entry_set()
     ok = ident.holds and wit.is_exact_cover_of(target)
     return (
         f"{kind}-witness {graph_fingerprint(g)} e={e[0]}-{e[1]}",
@@ -350,6 +358,9 @@ def _suite_bijections(n_max: int, seed: int, samples: int):
     for _ in range(samples):
         g, e = sampling.sample_triangle_pair(rng, min(n_max, 8))
         cases.append(_witness_case("triangle", g, e))
+    for _ in range(samples):
+        g = sampling.random_connected_graph(rng.randint(2, min(n_max, 8)), rng)
+        cases.append(_witness_case("edge", g, rng.choice(g.sorted_edges)))
     return cases
 
 

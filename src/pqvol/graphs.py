@@ -394,13 +394,15 @@ def _relabelled(edges: Iterable[Edge], keep: list[int]) -> Graph:
     return Graph(len(keep), [(remap[u], remap[w]) for u, w in edges if u in remap and w in remap])
 
 
-def block_subgraphs(g: Graph) -> list[Graph]:
+def block_subgraphs(g: Graph, blocks: list[frozenset[Edge]] | None = None) -> list[Graph]:
     """Each block as its own graph, vertices relabeled 1..k order-preserving.
 
     Ordering follows blocks_and_cut_vertices, which sorts blocks by edge set,
-    so the result is deterministic.
+    so the result is deterministic. A caller that already holds g's blocks
+    from blocks_and_cut_vertices passes them, and the pass is not repeated.
     """
-    blocks, _ = blocks_and_cut_vertices(g)
+    if blocks is None:
+        blocks, _ = blocks_and_cut_vertices(g)
     return [_relabelled(edge_set, sorted({v for e in edge_set for v in e})) for edge_set in blocks]
 
 

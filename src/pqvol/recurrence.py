@@ -4,12 +4,24 @@ The planner computes the normalized volume of the adjacency polytope of a
 graph by decomposing into connected components and blocks, matching blocks
 against closed-form families, applying the outer-face formula, undoing
 triangle joins and whole degree-2 threads (one step per thread, however
-long), and finally falling back to direct enumeration. Every result carries
-a derivation trace that can be replayed.
+long), then ears, and finally falling back to direct enumeration. Every
+result carries a derivation trace that can be replayed.
 
 The subdivision and triangle-join recurrences share one bijection
 construction (_witness): each step lists D(g), the subdivision step also
 D(g minus e), and the transformed graph is only counted.
+
+The edge identity holds for every graph g and edge e = uv:
+
+    #D(g▵e) - #D(g:e) = #D(g) - #D(g - e),
+
+where g▵e adds a vertex x adjacent to u and v, and g:e subdivides e by x.
+Its proof (docs/edge-identity.md) is a bijection: D(g:e) lies in D(g▵e)
+and D(g - e) in D(g), and c -> (c, 0) + e_side(c) maps D(g) minus D(g - e)
+onto D(g▵e) minus D(g:e), where side(c) is the endpoint of e held by every
+set that violates c in g - e. edge_step lists that map. Read at a degree-2
+vertex x with adjacent neighbours u and v, the identity is the planner's
+ear rule V(G) = V(G - uv) + V(G - x) - V(G - x - uv) (rule reverse-ear).
 """
 
 from __future__ import annotations
@@ -19,8 +31,11 @@ from math import comb, prod
 
 from . import draconian, outerplanar
 from .graphs import (
+    BipartiteDouble,
     Graph,
     block_subgraphs,
+    blocks_and_cut_vertices,
+    build_double,
     connected_components,
     delete_edge,
     from_edge_list,
@@ -39,6 +54,7 @@ __all__ = [
     "TraceNode",
     "VolumeResult",
     "clear_memo",
+    "edge_step",
     "nvol",
     "nvol_complete_minus_matching",
     "nvol_cycle",
@@ -135,18 +151,27 @@ def stirling_identity_check(n: int) -> bool:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Counted sides of a recurrence identity."""
+    """Counted sides of a recurrence identity.
 
-    kind: str  # "subdivision" | "triangle"
+    For kind "edge", transformed_count counts the triangle-joined graph and
+    subdivided_count the subdivided one; the other kinds leave it None.
+    """
+
+    kind: str  # "subdivision" | "triangle" | "edge"
     transformed_count: int
     base_count: int
     deleted_count: int | None
     holds: bool
+    subdivided_count: int | None = None
 
 
 @dataclass(frozen=True)
 class BijectionWitness:
-    """Images of the three constructions, each paired with its preimage."""
+    """Images of a recurrence's constructions, each paired with its preimage.
+
+    The subdivision and triangle steps have three constructions; the edge
+    identity has one, in set_a, and leaves set_b and set_c empty.
+    """
 
     kind: str
     set_a: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -303,6 +328,49 @@ def triangle_step(
     return identity, _witness("triangle", d_base, d_base, u_ - 1, v_ - 1)
 
 
+def edge_step(g: Graph, e) -> tuple[IdentityCheck, BijectionWitness]:
+    """Certify the edge identity at e = uv and list its bijection.
+
+    D(g) and D(g - e) are listed; the witness pairs each c in D(g) minus
+    D(g - e) with its image (c, 0) + e_side(c), the new vertex x last.
+    side(c) is u exactly when c passes the subset test on D(g) with the bar
+    of u taken out of v's neighbourhood (docs/edge-identity.md, "Deciding
+    the side"). The triangle-joined and subdivided graphs are counted, not
+    listed; callers verify the witness against independent listings of both
+    (BijectionWitness.is_exact_cover_of on their difference).
+    """
+    edge = tuple(sorted(e))
+    if edge not in g.edges:
+        raise ValueError(f"edge {edge} not in graph")
+    u, v = edge
+
+    d_base = draconian.enumerate_draconian(g)
+    d_del = draconian.enumerate_draconian(delete_edge(g, edge))
+    n_tri = draconian.count(triangle_join(g, edge))
+    n_sub = draconian.count(subdivide(g, edge))
+    identity = IdentityCheck(
+        kind="edge",
+        transformed_count=n_tri,
+        base_count=d_base.count,
+        deleted_count=d_del.count,
+        holds=n_tri - n_sub == d_base.count - d_del.count,
+        subdivided_count=n_sub,
+    )
+
+    masks = list(build_double(g).neighborhoods)
+    masks[v - 1] &= ~(1 << (u - 1))
+    one_way = BipartiteDouble(g.n, tuple(masks))
+    in_del = d_del.entry_set()
+    images = []
+    for c in d_base.entry_tuples():
+        if c in in_del:
+            continue
+        img = [*c, 0]
+        img[(u if draconian.check_subset(one_way, c) else v) - 1] += 1
+        images.append((tuple(img), c))
+    return identity, BijectionWitness(kind="edge", set_a=tuple(images), set_b=(), set_c=())
+
+
 # ---------------------------------------------------------------------------
 # Planner
 
@@ -377,7 +445,7 @@ def serialize_trace(node: TraceNode) -> str:
 
     children before parents and the root last, so each shared node is
     written once however often it is used. A reverse-subdivision row's
-    detail is `x=<x> k=<k>`.
+    detail is `x=<x> k=<k>`, a reverse-triangle or reverse-ear row's `x=<x>`.
     """
     lines = [f"# trace v{TRACE_VERSION}\n"]
     for row in trace_rows(node):
@@ -394,7 +462,8 @@ def _combine(rule: str, values: list[int], k: int | None) -> int:
     """Value of a node from its children's values, by the node's rule.
 
     A reverse-subdivision node also needs its thread length k (see
-    _reverse_move); its children are (G_1, H).
+    _reverse_move); its children are (G_1, H). A reverse-ear node's children
+    are (G - uv, G - x, G - x - uv).
     """
     if rule in ("component-product", "block-product"):
         return prod(values)
@@ -405,6 +474,11 @@ def _combine(rule: str, values: list[int], k: int | None) -> int:
         return (g1 + (k - 1) * h) << (k - 1)
     if rule == "reverse-triangle":
         return 3 * values[0]
+    if rule == "reverse-ear":
+        if len(values) != 3:
+            raise ValueError(f"reverse-ear needs 3 children, got {len(values)}")
+        cut, rest, both = values
+        return cut + rest - both
     raise ValueError(f"unknown combination rule {rule!r}")
 
 
@@ -503,9 +577,19 @@ def _reverse_move(g: Graph):
     V(g - x), the single subdivision step, since g - x is H plus a pendant
     vertex.
 
+    Only when the scan finds neither move, the smallest degree-2 x whose
+    neighbors u and v are adjacent is an ear, undone by the edge identity
+    (module docstring) with children G - uv, G - x and G - x - uv:
+
+        V(g) = V(g - uv) + V(g - x) - V(g - x - uv).
+
+    With n >= 4 all three are connected: g - x is 2-connected, since u and
+    v are adjacent, so deleting uv from it or from g disconnects neither.
+
     None when no vertex qualifies. On a cycle block the walk returns to x
     and the result is None too; closed-form:cycle fires before this anyway.
     """
+    ear = None
     for x in range(1, g.n + 1):
         if g.degree(x) != 2:
             continue
@@ -514,6 +598,8 @@ def _reverse_move(g: Graph):
             if g.degree(v) == 3 or g.degree(w) == 3:
                 rest = [u for u in range(1, g.n + 1) if u != x]
                 return "reverse-triangle", f"x={x}", None, (induced_subgraph(g, rest),)
+            if ear is None:
+                ear = x, v, w
         elif g.degree(v) == 2 or g.degree(w) == 2:
             left, a = _thread_walk(g, x, v)
             if a == x:
@@ -525,7 +611,12 @@ def _reverse_move(g: Graph):
             bridged = from_edge_list(g.n, [*g.edges, (a, x), (x, b)])
             g1 = induced_subgraph(bridged, sorted([*rest, x]))
             return "reverse-subdivision", f"x={x} k={k}", k, (g1, induced_subgraph(g, rest))
-    return None
+    if ear is None or g.n < 4:
+        return None
+    x, v, w = ear
+    cut = delete_edge(g, (v, w))
+    rest = [u for u in range(1, g.n + 1) if u != x]
+    return "reverse-ear", f"x={x}", None, (cut, induced_subgraph(g, rest), induced_subgraph(cut, rest))
 
 
 def _step(g: Graph, oracle: bool, workers: int):
@@ -544,9 +635,10 @@ def _step(g: Graph, oracle: bool, workers: int):
     if g.n == 1:
         return "closed-form:vertex", "", None, (), 1
 
-    blocks = block_subgraphs(g)
+    # one block pass; a single block is g itself, so no copy of it is built
+    blocks, _ = blocks_and_cut_vertices(g)
     if len(blocks) > 1:
-        return "block-product", "", None, blocks, None
+        return "block-product", "", None, block_subgraphs(g, blocks), None
 
     # g is a single 2-connected block from here on.
     if g.n == 2:

@@ -11,7 +11,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from pqvol import cli, draconian, recurrence
+from pqvol import cli, draconian, outerplanar, recurrence
 from pqvol.graphs import generate, write_edge_list
 
 
@@ -103,9 +103,23 @@ def test_trace_prints_each_distinct_node_once(runner):
     assert result.exit_code == 0
     value, header, *rows = result.output.splitlines()
     assert header == "# trace v3"
-    assert len(rows) == len(distinct) == 94
-    assert rows[-1].startswith(f"n93 {trace.rule} {trace.fingerprint} value={value} ")
+    assert len(rows) == len(distinct) == 99
+    assert rows[-1].startswith(f"n98 {trace.rule} {trace.fingerprint} value={value} ")
     assert elapsed < 2.0
+    assert recurrence.replay_trace(trace) == int(value)
+
+
+def test_nvol_plans_past_the_enumeration_cap(runner):
+    # every block with a fully interior face is undone by ears, so no
+    # enumeration leaf (capped at 18 vertices) is left on this 600-vertex graph
+    start = time.perf_counter()
+    result = runner.invoke(cli.main, ["nvol", "random_outerplanar:600", "--seed", "7"])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 0, result.output
+    value, conjectural = outerplanar.nvol_outerplanar(generate("random_outerplanar", 600, seed=7))
+    assert result.output == f"{value}\n"
+    assert conjectural is True
+    assert elapsed < 5.0
 
 
 def test_nvol_strategies_agree(runner):
@@ -237,9 +251,9 @@ _SMALL = ["--n-max", "5", "--samples", "3", "--seed", "1"]
         (["verify", "formulas", *_SMALL, "--json"],
          "792290a96f7540ae17c268f38f17d1086d3638a183a8d0740b80bce1ef695092"),
         (["verify", "bijections", *_SMALL],
-         "169974ece983122cec47b90dc95782264fd68b94302bbf794e546237b727d67d"),
+         "bc842baea9c79e5e609386439102b1320919202d37b1628afc34fddfd009f13f"),
         (["verify", "bijections", *_SMALL, "--json"],
-         "2ade9b05c26b5a91bff8d8e65d05216ca895e4f0b54a38531d4b9bda136046c6"),
+         "69bb878843e793ab3bf3462cd19620a0f35d94665fb24884c5b3e794069afede"),
         (["scan", "wheels", "--n-max", "6"],
          "addaf226c2e84f50587f41eee6043617f15195f048ca254110ee34b5376b2f53"),
         (["scan", "wheels", "--n-max", "6", "--json"],

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from pqvol import cli, draconian, recurrence
 from pqvol.draconian import ResourceCapExceeded, count, enumerate_draconian
 from pqvol.graphs import (
+    add_edge,
     delete_edge,
     disjoint_union,
     from_edge_list,
@@ -24,6 +25,7 @@ from pqvol.graphs import (
 )
 from pqvol.recurrence import (
     clear_memo,
+    edge_step,
     nvol,
     nvol_complete_minus_matching,
     nvol_cycle,
@@ -606,3 +608,90 @@ def test_oracle_mode_splits_components_only():
         ("enumeration", 4),
     ]
     assert res.value == nvol(g).value == 264
+
+
+# ---------------------------------------------------------------------------
+# the edge identity and the ear rule
+
+# a triangle with an ear on each edge: its central face has no outer edge
+THREE_SUN = from_edge_list(
+    6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (2, 5), (3, 5), (1, 6), (3, 6)]
+)
+
+
+def _edge_witness_holds(g, e):
+    ident, wit = edge_step(g, e)
+    joined = enumerate_draconian(triangle_join(g, e)).entry_set()
+    subdivided = enumerate_draconian(subdivide(g, e)).entry_set()
+    return ident.holds and wit.is_exact_cover_of(joined - subdivided)
+
+
+def test_edge_step_on_the_triangle():
+    ident, wit = edge_step(generate("cycle", 3), (3, 1))
+    assert (ident.kind, ident.transformed_count, ident.subdivided_count) == ("edge", 18, 16)
+    assert (ident.base_count, ident.deleted_count, ident.holds) == (6, 4, True)
+    # D(C3) minus D(P3) is {(2,0,0), (0,0,2)}; each gains a unit on its side
+    assert sorted(wit.set_a) == [((0, 0, 3, 0), (0, 0, 2)), ((3, 0, 0, 0), (2, 0, 0))]
+    assert wit.set_b == wit.set_c == ()
+    with pytest.raises(ValueError, match="not in graph"):
+        edge_step(generate("path", 3), (1, 3))
+
+
+def test_edge_step_witness_is_an_exact_cover(rng):
+    pairs = 0
+    for g in connected_catalog(5):
+        for e in g.sorted_edges:
+            assert _edge_witness_holds(g, e), (g.sorted_edges, e)
+            pairs += 1
+    assert pairs == 161
+    larger = [g for g in connected_catalog(7) if g.n >= 6]
+    for _ in range(40):
+        g = rng.choice(larger)
+        e = rng.choice(g.sorted_edges)
+        assert _edge_witness_holds(g, e), (g.sorted_edges, e)
+
+
+def test_ear_rule_on_the_three_sun():
+    res = nvol(THREE_SUN)
+    assert (res.trace.rule, res.trace.detail) == ("reverse-ear", "x=4")
+    assert [c.value for c in res.trace.children] == [144, 54, 36]
+    assert res.value == count(THREE_SUN) == 162
+    assert replay_trace(res.trace) == 162
+
+
+def test_ear_rule_matches_enumeration_on_the_catalog():
+    fired = 0
+    for g in connected_catalog(7):
+        res = nvol(g)
+        rows = trace_rows(res.trace)
+        if not any(row["rule"] == "reverse-ear" for row in rows):
+            continue
+        assert res.value == count(g), g.sorted_edges
+        assert replay_trace(res.trace) == res.value
+        for row in rows:
+            if row["rule"] == "reverse-ear":
+                cut, rest, both = (rows[c] for c in row["children"])
+                assert (cut["n"], cut["m"]) == (row["n"], row["m"] - 1)
+                assert (rest["n"], rest["m"]) == (row["n"] - 1, row["m"] - 2)
+                assert (both["n"], both["m"]) == (row["n"] - 1, row["m"] - 3)
+        fired += 1
+    assert fired == 281
+
+
+def test_ear_rule_plans_triangular_books():
+    # K_{1,1,n}: the ear rule chains down to K_{2,n}, a closed form
+    for n in range(2, 41):
+        g = add_edge(generate("complete_bipartite", 2, n), (1, 2))
+        value = nvol(g).value
+        assert value == 2 ** (n - 2) * (n * n + 3 * n + 8), n
+        if n <= 8:
+            assert value == count(g), n
+
+
+def test_replay_rejects_corrupted_ear_rows():
+    trace = nvol(THREE_SUN).trace
+    with pytest.raises(ValueError, match="trace mismatch"):
+        replay_trace(replace(trace, value=trace.value + 1))
+    for kids in (trace.children[:2], (*trace.children, trace.children[0])):
+        with pytest.raises(ValueError, match="reverse-ear needs 3 children"):
+            replay_trace(replace(trace, children=kids))
