@@ -21,7 +21,6 @@ could not be parsed or --out cannot be written, 3 a resource cap was hit.
 
 from __future__ import annotations
 
-import json as jsonlib
 import os
 import sys
 import time
@@ -67,6 +66,12 @@ def _load_graph(spec: str, seed: int | None) -> Graph:
     raise click.UsageError(f"{spec!r} is neither a known family spec nor a file")
 
 
+def _json_text(payload: dict) -> str:
+    import json  # loaded only by a command that writes --json
+
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 @dataclass
 class RunReport:
     """Deterministic run summary; timing is kept in a separate section."""
@@ -108,7 +113,7 @@ class RunReport:
             "ok": self.ok,
             "timing": {"elapsed": round(self.elapsed, 6)},
         }
-        return jsonlib.dumps(payload, indent=2, sort_keys=True)
+        return _json_text(payload)
 
 
 class _Main(click.Group):
@@ -151,7 +156,8 @@ def main() -> None:
 def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
     """Print the exact normalized volume of GRAPH_SPEC."""
     g = _load_graph(graph_spec, seed)
-    result = recurrence.nvol(g, strategy=strategy, workers=workers)
+    with draconian.pool_scope(workers):
+        result = recurrence.nvol(g, strategy=strategy, workers=workers)
     if as_json:
         payload = {
             "command": "nvol",
@@ -162,7 +168,7 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
         if show_trace:
             rows = recurrence.trace_rows(result.trace)
             payload["trace"] = {"version": recurrence.TRACE_VERSION, "nodes": rows}
-        click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
+        click.echo(_json_text(payload))
     else:
         click.echo(str(result.value))
         if show_trace:
@@ -181,7 +187,8 @@ def cmd_nvol(graph_spec, strategy, show_trace, workers, seed, as_json) -> None:
 def cmd_enum(graph_spec, workers, seed, as_json) -> None:
     """List every draconian sequence of GRAPH_SPEC in lexicographic order."""
     g = _load_graph(graph_spec, seed)
-    ds = draconian.enumerate_draconian(g, workers=workers)
+    with draconian.pool_scope(workers):
+        ds = draconian.enumerate_draconian(g, workers=workers)
     if as_json:
         payload = {
             "command": "enum",
@@ -189,7 +196,7 @@ def cmd_enum(graph_spec, workers, seed, as_json) -> None:
             "fingerprint": graph_fingerprint(g),
             "sequences": [list(s) for s in ds.sequences],
         }
-        click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
+        click.echo(_json_text(payload))
     else:
         click.echo(ds.to_text() + f"count {ds.count}")
 
@@ -490,7 +497,8 @@ def cmd_scan(target, n_max, seed, samples, out, workers, as_json) -> None:
     wheels checks wheel:3 .. wheel:N-MAX and ignores --seed and --samples.
     """
     start = time.perf_counter()
-    records = _SCANS[target](n_max, seed, samples, workers)
+    with draconian.pool_scope(workers):
+        records = _SCANS[target](n_max, seed, samples, workers)
     records.sort(key=lambda r: (r["fp"], r["label"]))
     lines = [_record_line(r) for r in records]
 
@@ -515,7 +523,7 @@ def cmd_scan(target, n_max, seed, samples, out, workers, as_json) -> None:
             "seed": seed,
             "timing": {"elapsed": round(elapsed, 6)},
         }
-        click.echo(jsonlib.dumps(payload, indent=2, sort_keys=True))
+        click.echo(_json_text(payload))
     else:
         click.echo("# pqvol scan v1")
         for line in lines:

@@ -24,13 +24,21 @@ enumerate_draconian) accepts at most MAX_N vertices, and check_subset, whose
 packed subset lanes grow as 2^n, at most SUBSET_MAX_N. Above a cap
 check_cap raises ResourceCapExceeded; the CLI calls it too, so a command
 that would cross a cap refuses before it does any work.
+
+With workers > 1, count and enumerate_draconian shard the search over a
+process pool, built by _executor, the only place that imports
+concurrent.futures: serial runs never load it. A call outside pool_scope
+opens its own pool and joins its workers before it returns. Inside a
+pool_scope block every sharded call uses one pool, started at the first
+such call and shut down, its workers joined, when the block exits; the CLI
+opens one block per command.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .graphs import BipartiteDouble, Graph, build_double, is_connected
@@ -45,6 +53,7 @@ __all__ = [
     "check_subset",
     "count",
     "enumerate_draconian",
+    "pool_scope",
 ]
 
 MAX_N = 18  # largest vertex count the enumerator accepts
@@ -473,9 +482,46 @@ def _shard_task(args):
     return _dfs_run(BipartiteDouble(n, masks), prefix, collect)
 
 
+def _executor(max_workers: int):
+    """A process pool of max_workers; concurrent.futures loads on the first call."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
+# Pool size of the open pool_scope (0 outside every scope), and its pool
+# once a sharded call has started it.
+_scope_workers = 0
+_scope_pool = None
+
+
+@contextmanager
+def pool_scope(workers: int):
+    """Share one pool of min(workers, cpu count) processes among the sharded
+    calls made inside the block.
+
+    The pool starts at the first call that shards, so a block that shards
+    nothing starts no process, and it is shut down with its workers joined
+    when the block exits, by an exception too. With workers <= 1 the block
+    does nothing, and a nested block uses the outer block's pool.
+    """
+    global _scope_workers, _scope_pool
+    if _scope_workers or workers <= 1:
+        yield
+        return
+    _scope_workers = min(workers, os.cpu_count() or 1)
+    try:
+        yield
+    finally:
+        pool, _scope_workers, _scope_pool = _scope_pool, 0, None
+        if pool is not None:
+            pool.shutdown()
+
+
 def _run(g: Graph, workers: int, collect: bool):
     """Draconian sequences of g in lexicographic order (collect=True) or their
     number (collect=False), enumerated serially or over a process pool."""
+    global _scope_pool
     if not is_connected(g):
         return [] if collect else 0
     check_cap(g.n, MAX_N, "enumeration")
@@ -484,8 +530,13 @@ def _run(g: Graph, workers: int, collect: bool):
         return _dfs_run(d, (), collect)
     jobs = [(d.n, d.neighborhoods, p, collect) for p in _shard_prefixes(d, workers)]
     # map yields results in job order whatever the pool size
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(_shard_task, jobs))
+    if not _scope_workers:
+        with _executor(min(workers, len(jobs), os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(_shard_task, jobs))
+    else:
+        if _scope_pool is None:
+            _scope_pool = _executor(_scope_workers)
+        parts = list(_scope_pool.map(_shard_task, jobs))
     return [s for part in parts for s in part] if collect else sum(parts)
 
 

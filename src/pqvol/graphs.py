@@ -7,7 +7,6 @@ edges are sorted, deduplicated and range-checked there and nowhere else.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -87,6 +86,8 @@ def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
 
 def graph_fingerprint(g: Graph) -> str:
     """Short stable identifier: vertex/edge counts plus an edge-set digest."""
+    import hashlib  # loaded on the first call, not with the package
+
     canon = f"n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.sorted_edges)
     digest = hashlib.sha256(canon.encode()).hexdigest()[:12]
     return f"g{g.n}m{g.m}:{digest}"

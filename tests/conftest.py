@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from pqvol import draconian
 from pqvol.graphs import Graph, from_edge_list
 from pqvol.sampling import compositions  # noqa: F401  (imported by the test modules)
 
@@ -40,3 +41,17 @@ def connected_catalog(n_max: int) -> list[Graph]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260814)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """The size of every process pool draconian opens, in order; the pools still open."""
+    sizes = []
+    real = draconian._executor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(draconian, "_executor", spy)
+    return sizes

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from pqvol import cli, draconian, outerplanar, recurrence
-from pqvol.graphs import generate, write_edge_list
+from pqvol.graphs import from_edge_list, generate, write_edge_list
 
 
 @pytest.fixture
@@ -158,7 +159,7 @@ def test_workers_below_one_exit_2(runner, monkeypatch, args, workers):
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a rejected --workers value must not start a pool")
 
-    monkeypatch.setattr(draconian, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(draconian, "_executor", no_pool)
     result = runner.invoke(cli.main, [*args, "--workers", workers])
     assert result.exit_code == 2
     assert "Usage:" in result.output
@@ -488,6 +489,100 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+_SERIAL_FOOTPRINT = """
+import sys
+
+import pqvol.cli
+from click.testing import CliRunner
+from pqvol import cli
+from pqvol.draconian import count, enumerate_draconian
+from pqvol.graphs import generate
+
+g = generate("wheel", 6)
+assert enumerate_draconian(g).count == count(g, workers=1) == 666
+result = CliRunner().invoke(cli.main, ["enum", "wheel:5"])
+assert result.exit_code == 0 and result.output.splitlines()[-1] == "count 212", result.output
+lazy = ("concurrent.futures", "multiprocessing", "hashlib", "_hashlib", "json")
+print(*[name for name in lazy if name in sys.modules])
+assert count(g, workers=2) == 666
+print(*[name for name in lazy if name in sys.modules])
+"""
+
+
+def test_serial_runs_load_no_pool_hashing_or_json():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", _SERIAL_FOOTPRINT], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    serial, sharded = out.stdout.split("\n")[:2]
+    assert serial == ""
+    # the first sharded call loads the pool, and only then
+    assert {"concurrent.futures", "multiprocessing"} <= set(sharded.split())
+
+
+def _records(text: str) -> list[str]:
+    return [ln for ln in text.splitlines() if ln.startswith("record ")]
+
+
+def test_scan_shares_one_pool_across_its_samples(runner, pool_sizes):
+    args = ["scan", "outerplanar-conjecture", "--n-max", "8", "--samples", "50"]
+    serial = runner.invoke(cli.main, [*args, "--workers", "1"])
+    assert pool_sizes == []
+    sharded = runner.invoke(cli.main, [*args, "--workers", "2"])
+    assert sharded.exit_code == serial.exit_code == 0
+    assert pool_sizes == [2]
+    assert len(_records(sharded.output)) == 50
+    assert _records(sharded.output) == _records(serial.output)
+    assert multiprocessing.active_children() == []
+
+
+def _prism_file(tmp_path, name: str, other: list[tuple[int, int]]) -> str:
+    """The triangular prism on 1..6, then the edges of other shifted past it.
+
+    The prism is 3-regular and not outerplanar, so the planner enumerates it."""
+    prism = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+    edges = prism + [(u + 6, v + 6) for u, v in other]
+    path = tmp_path / name
+    write_edge_list(from_edge_list(6 + max(max(e) for e in other), edges), path)
+    return str(path)
+
+
+def test_nvol_and_enum_open_one_pool_per_command(runner, pool_sizes, tmp_path):
+    # prism + K_{3,3}: two distinct enumeration leaves
+    k33 = [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]
+    spec = _prism_file(tmp_path, "prism_k33.txt", k33)
+    recurrence.clear_memo()
+    serial = runner.invoke(cli.main, ["nvol", spec, "--trace"])
+    assert serial.output.count(" enumeration ") == 2
+    recurrence.clear_memo()
+    sharded = runner.invoke(cli.main, ["nvol", spec, "--trace", "--workers", "2"])
+    assert (sharded.exit_code, sharded.output) == (0, serial.output)
+    assert pool_sizes == [2]
+    assert runner.invoke(cli.main, ["enum", "wheel:6", "--workers", "2"]).exit_code == 0
+    assert pool_sizes == [2, 2]
+    # a command that shards nothing starts no pool
+    assert runner.invoke(cli.main, ["nvol", "cycle:9", "--workers", "2"]).output == "1152\n"
+    assert pool_sizes == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+def test_cap_refusal_after_sharding_leaves_no_worker(runner, pool_sizes, tmp_path):
+    # the prism is enumerated on the pool, then the 20-vertex prism C10 x K2
+    # hits the enumeration cap
+    c10k2 = [(i, i % 10 + 1) for i in range(1, 11)]
+    c10k2 += [(u + 10, v + 10) for u, v in c10k2] + [(i, i + 10) for i in range(1, 11)]
+    spec = _prism_file(tmp_path, "two_prisms.txt", c10k2)
+    recurrence.clear_memo()
+    result = runner.invoke(cli.main, ["nvol", spec, "--workers", "2"])
+    assert result.exit_code == 3
+    assert "exceeds the cap of 18" in result.output
+    assert pool_sizes == [2]
+    assert multiprocessing.active_children() == []
 
 
 _WITHOUT_NUMPY = """

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -222,11 +223,34 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(draconian, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(draconian, "_executor", SerialPool)
     monkeypatch.setattr(draconian.os, "cpu_count", lambda: 2)
     g = generate("wheel", 6)
     assert count(g, workers=64) == count(g)
     assert requested == [2]
+
+
+def test_library_calls_outside_a_scope_open_and_close_their_own_pool(pool_sizes):
+    g = generate("wheel", 6)
+    for _ in range(2):
+        assert count(g, workers=2) == 666
+        assert multiprocessing.active_children() == []
+    assert pool_sizes == [2, 2]
+    with draconian.pool_scope(2):
+        assert count(g, workers=2) == 666
+        assert len(multiprocessing.active_children()) == 2
+        with draconian.pool_scope(2):
+            assert enumerate_draconian(g, workers=2).count == 666
+        assert count(g) == 666
+        assert count(g, workers=2) == 666
+    assert pool_sizes == [2, 2, 2]
+    assert multiprocessing.active_children() == []
+    # a scope closes its pool on an exception too
+    with pytest.raises(ResourceCapExceeded), draconian.pool_scope(2):
+        count(g, workers=2)
+        count(generate("cycle", MAX_N + 1), workers=2)
+    assert pool_sizes == [2, 2, 2, 2]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
