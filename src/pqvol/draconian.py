@@ -284,8 +284,11 @@ def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
     Labels 1..k come first, since a shard prefix forces them. Then each step
     places the vertex that leaves the fewest right vertices adjacent both to
     the placed vertices and to the rest (the width), breaking ties in favour
-    of a neighbour of the last placed vertex, then by the smaller label.
-    Counts of unplaced neighbours per right vertex make a step O(n * degree).
+    of a neighbour of the last placed vertex, then of the smaller closed
+    neighbourhood, and only then by the smaller label. The neighbourhood key
+    settles ties that the label would decide otherwise: without it the
+    3-sun's cost depends on its labels. Counts of unplaced neighbours per
+    right vertex make a step O(n * degree).
     """
     order = d._cache.get(("search_order", k))
     if order is not None:
@@ -302,7 +305,8 @@ def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
             # placing u changes the width by the sum over r in N(u) of
             # [r keeps an unplaced neighbour] - [r was already held]
             v = min(unplaced, key=lambda u: (
-                sum((rest[r] > 1) - held[r] for r in nbrs[u]), u not in last, u))
+                sum((rest[r] > 1) - held[r] for r in nbrs[u]),
+                u not in last, len(nbrs[u]), u))
             unplaced.remove(v)
         order.append(v)
         for r in nbrs[v]:

@@ -86,11 +86,19 @@ def from_edge_list(n: int, edges: Iterable[Iterable[int]]) -> Graph:
 
 def graph_fingerprint(g: Graph) -> str:
     """Short stable identifier: vertex/edge counts plus an edge-set digest."""
+    return _fingerprint(g.n, g.sorted_edges)
+
+
+def _fingerprint(n: int, sorted_edges: tuple[Edge, ...]) -> str:
+    """graph_fingerprint of the graph on 1..n with these sorted edges.
+
+    Trace nodes keep only (n, sorted edges), so they share this helper.
+    """
     import hashlib  # loaded on the first call, not with the package
 
-    canon = f"n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.sorted_edges)
+    canon = f"n={n};" + ",".join(f"{u}-{v}" for u, v in sorted_edges)
     digest = hashlib.sha256(canon.encode()).hexdigest()[:12]
-    return f"g{g.n}m{g.m}:{digest}"
+    return f"g{n}m{len(sorted_edges)}:{digest}"
 
 
 # ---------------------------------------------------------------------------

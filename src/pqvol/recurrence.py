@@ -5,7 +5,10 @@ graph by decomposing into connected components and blocks, matching blocks
 against closed-form families, applying the outer-face formula, undoing
 triangle joins and whole degree-2 threads (one step per thread, however
 long), then ears, and finally falling back to direct enumeration. Every
-result carries a derivation trace that can be replayed.
+result carries a derivation trace that can be replayed. A trace node keeps
+its graph as n and the sorted edge tuple the planner memoises it under; its
+fingerprint is hashed on first read, which only the trace writers and a
+failed replay do, so planning never loads hashlib.
 
 The subdivision and triangle-join recurrences share one bijection
 construction (_witness): each step lists D(g), the subdivision step also
@@ -27,19 +30,21 @@ ear rule V(G) = V(G - uv) + V(G - x) - V(G - x - uv) (rule reverse-ear).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, prod
 
 from . import draconian, outerplanar
 from .graphs import (
     BipartiteDouble,
+    Edge,
     Graph,
+    _fingerprint,
     block_subgraphs,
     blocks_and_cut_vertices,
     build_double,
     connected_components,
     delete_edge,
     from_edge_list,
-    graph_fingerprint,
     induced_subgraph,
     is_connected,
     is_two_connected,
@@ -379,18 +384,28 @@ def edge_step(g: Graph, e) -> tuple[IdentityCheck, BijectionWitness]:
 class TraceNode:
     """One derivation step: the rule applied, the graph, and the value.
 
-    k is the thread length of a reverse-subdivision step, which its value
-    needs besides its children's values; it is None on every other rule.
+    The graph is n and edges, its sorted edge tuple, the planner's memo key;
+    fingerprint is graphs.graph_fingerprint of that graph, hashed once on
+    first read. k is the thread length of a reverse-subdivision step, which
+    its value needs besides its children's values; it is None on every
+    other rule.
     """
 
     rule: str
-    fingerprint: str
+    edges: tuple[Edge, ...]
     n: int
-    m: int
     value: int
     detail: str = ""
     children: tuple[TraceNode, ...] = ()
     k: int | None = None
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return _fingerprint(self.n, self.edges)
 
 
 @dataclass(frozen=True)
@@ -399,41 +414,52 @@ class VolumeResult:
     trace: TraceNode
 
 
-def trace_rows(root: TraceNode) -> list[dict]:
-    """The trace as a node table: one row per distinct node, children first.
+def _distinct_nodes(root: TraceNode) -> dict[int, TraceNode]:
+    """Each distinct node of the trace once, children first, keyed by id().
 
     Memo sharing makes a trace a DAG. Nodes are told apart by identity, so
     no comparison recurses through a shared subtree, and an explicit stack
-    walks them left to right. A row's id is its index, each child id is
-    smaller than its parent's, and the root is the last row. Only
-    reverse-subdivision rows have a "k" key, the thread length.
+    walks them left to right; the root comes last.
     """
-    ids: dict[int, int] = {}
-    rows: list[dict] = []
+    seen: dict[int, TraceNode] = {}
     stack = [root]
     while stack:
         top = stack[-1]
-        if id(top) in ids:
+        if id(top) in seen:
             stack.pop()
             continue
-        pending = [c for c in top.children if id(c) not in ids]
+        pending = [c for c in top.children if id(c) not in seen]
         if pending:
             stack.extend(reversed(pending))
             continue
-        stack.pop()
-        ids[id(top)] = len(rows)
+        seen[id(stack.pop())] = top
+    return seen
+
+
+def trace_rows(root: TraceNode) -> list[dict]:
+    """The trace as a node table: one row per distinct node, children first.
+
+    A row's id is its index in _distinct_nodes' order, each child id is
+    smaller than its parent's, and the root is the last row. Only
+    reverse-subdivision rows have a "k" key, the thread length. Writing the
+    rows reads every node's fingerprint.
+    """
+    ids: dict[int, int] = {}
+    rows: list[dict] = []
+    for key, node in _distinct_nodes(root).items():
+        ids[key] = len(rows)
         row = {
             "id": len(rows),
-            "rule": top.rule,
-            "fingerprint": top.fingerprint,
-            "n": top.n,
-            "m": top.m,
-            "value": top.value,
-            "detail": top.detail,
-            "children": [ids[id(c)] for c in top.children],
+            "rule": node.rule,
+            "fingerprint": node.fingerprint,
+            "n": node.n,
+            "m": node.m,
+            "value": node.value,
+            "detail": node.detail,
+            "children": [ids[id(c)] for c in node.children],
         }
-        if top.k is not None:
-            row["k"] = top.k
+        if node.k is not None:
+            row["k"] = node.k
         rows.append(row)
     return rows
 
@@ -482,26 +508,27 @@ def _combine(rule: str, values: list[int], k: int | None) -> int:
     raise ValueError(f"unknown combination rule {rule!r}")
 
 
-def replay_trace(node: TraceNode) -> int:
+def replay_trace(root: TraceNode) -> int:
     """Recompute the value from the leaves; raises on arithmetic mismatch.
 
-    Values are recombined over the rows of trace_rows in row order, so each
-    distinct node is checked once, as the trace writers print it. A
-    reverse-subdivision row's thread length is read from its "k" field.
+    Values are recombined over the distinct nodes in the row order of
+    trace_rows, so each is checked once, as the trace writers print it. A
+    reverse-subdivision node's thread length is its k. Only the mismatch
+    reported reads a fingerprint.
     """
-    replayed: list[int] = []
-    for row in trace_rows(node):
-        value = row["value"]
-        if row["children"]:
-            kids = [replayed[c] for c in row["children"]]
-            value = _combine(row["rule"], kids, row.get("k"))
-            if value != row["value"]:
+    replayed: dict[int, int] = {}
+    for key, node in _distinct_nodes(root).items():
+        value = node.value
+        if node.children:
+            kids = [replayed[id(c)] for c in node.children]
+            value = _combine(node.rule, kids, node.k)
+            if value != node.value:
                 raise ValueError(
-                    f"trace mismatch at {row['rule']} {row['fingerprint']}: "
-                    f"stored {row['value']}, replayed {value}"
+                    f"trace mismatch at {node.rule} {node.fingerprint}: "
+                    f"stored {node.value}, replayed {value}"
                 )
-        replayed.append(value)
-    return replayed[-1]
+        replayed[key] = value
+    return replayed[id(root)]
 
 
 # Keyed by (oracle mode, n, sorted edges), so the two strategies never share
@@ -675,7 +702,7 @@ def _plan(g: Graph, oracle: bool, workers: int) -> TraceNode:
     comes. The stack, not the interpreter's recursion limit, bounds the
     depth; a step leaves it once its last child is done.
     """
-    stack = []  # (memo key, graph, rule, detail, k, child graphs, child nodes)
+    stack = []  # (memo key, rule, detail, k, child graphs, child nodes)
     todo = g
     while True:
         key = (oracle, todo.n, todo.sorted_edges)
@@ -683,22 +710,19 @@ def _plan(g: Graph, oracle: bool, workers: int) -> TraceNode:
         if node is None:
             rule, detail, k, kids, value = _step(todo, oracle, workers)
             if kids:
-                stack.append((key, todo, rule, detail, k, kids, []))
+                stack.append((key, rule, detail, k, kids, []))
                 todo = kids[0]
                 continue
-            node = _MEMO[key] = TraceNode(
-                rule, graph_fingerprint(todo), todo.n, todo.m, value, detail
-            )
+            node = _MEMO[key] = TraceNode(rule, todo.sorted_edges, todo.n, value, detail)
         while stack:
-            key, h, rule, detail, k, kids, done = stack[-1]
+            key, rule, detail, k, kids, done = stack[-1]
             done.append(node)
             if len(done) < len(kids):
                 break
             stack.pop()
+            _, n, edges = key
             value = _combine(rule, [c.value for c in done], k)
-            node = _MEMO[key] = TraceNode(
-                rule, graph_fingerprint(h), h.n, h.m, value, detail, tuple(done), k
-            )
+            node = _MEMO[key] = TraceNode(rule, edges, n, value, detail, tuple(done), k)
         else:
             return node
         todo = kids[len(done)]

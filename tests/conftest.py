@@ -38,6 +38,12 @@ def connected_catalog(n_max: int) -> list[Graph]:
     return out
 
 
+# a triangle with an ear on each edge: its central face has no outer edge
+THREE_SUN = from_edge_list(
+    6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (2, 5), (3, 5), (1, 6), (3, 6)]
+)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260814)

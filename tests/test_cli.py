@@ -264,6 +264,20 @@ _SMALL = ["--n-max", "5", "--samples", "3", "--seed", "1"]
         (["scan", "outerplanar-conjecture", "--n-max", "7", "--samples", "6", "--seed", "3",
           "--json"],
          "55659e1edbf85cf941543a41745657554ae534c00af494ba8320a77f15c6c7d8"),
+        # traces: reverse-ear and reverse-subdivision rows, an enumeration
+        # leaf, and a k2m closed form
+        (["nvol", "random_outerplanar:40", "--seed", "7", "--trace"],
+         "698e281e77c7e687ab59753cb0acd15f474b46250460f982398e1f1478acb643"),
+        (["nvol", "random_outerplanar:40", "--seed", "7", "--json", "--trace"],
+         "fb5d519ffdda708143ddb3678fd9822348f73bd49cc1ae9d0b01737336e8066b"),
+        (["nvol", "wheel:6", "--trace"],
+         "23263efcbca94700bbdb8a14d0994386bf884cd4f8eb78b481e42c86b795cbed"),
+        (["nvol", "wheel:6", "--json", "--trace"],
+         "7b1c7a7967b76abb42480c9feb3bbb48e63ca98e7d26d0f2098c1531f2617573"),
+        (["nvol", "complete_bipartite:3,4", "--trace"],
+         "fb0da992743f52d7912c073c00558509a7ec179fb2879d96c6c8faaad21c79f4"),
+        (["nvol", "complete_bipartite:3,4", "--json", "--trace"],
+         "65a0d346b534266b4c484d16be6fec5a824b159fe14165e6f2cc8301638b53a1"),
     ],
 )
 def test_report_bytes_are_pinned(runner, args, digest):
@@ -511,18 +525,52 @@ print(*[name for name in lazy if name in sys.modules])
 """
 
 
-def test_serial_runs_load_no_pool_hashing_or_json():
+def _fresh_python(code: str) -> list[str]:
+    """Run code in a new interpreter that imports this pqvol; its stdout lines."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", _SERIAL_FOOTPRINT], capture_output=True, text=True, env=env
-    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    serial, sharded = out.stdout.split("\n")[:2]
+    return out.stdout.split("\n")
+
+
+def test_serial_runs_load_no_pool_hashing_or_json():
+    serial, sharded = _fresh_python(_SERIAL_FOOTPRINT)[:2]
     assert serial == ""
     # the first sharded call loads the pool, and only then
     assert {"concurrent.futures", "multiprocessing"} <= set(sharded.split())
+
+
+_PLAN_FOOTPRINT = """
+import sys
+
+from pqvol import recurrence
+from pqvol.graphs import Graph, generate, graph_fingerprint
+
+traces = [
+    recurrence.nvol(generate("random_outerplanar", 40, seed=7)).trace,
+    recurrence.nvol(generate("wheel", 6)).trace,
+]
+nodes = [list(recurrence._distinct_nodes(t).values()) for t in traces]
+assert "reverse-ear" in {node.rule for node in nodes[0]}
+assert [node.rule for node in nodes[1]] == ["enumeration"]
+assert [recurrence.replay_trace(t) for t in traces] == [t.value for t in traces]
+hashing = ("hashlib", "_hashlib")
+print(*[name for name in hashing if name in sys.modules])
+for trace, distinct in zip(traces, nodes):
+    rows = recurrence.serialize_trace(trace).splitlines()[1:]
+    assert len(rows) == len(distinct)
+    for row, node in zip(rows, distinct):
+        assert row.split()[2] == graph_fingerprint(Graph(node.n, node.edges)), row
+print(*[name for name in hashing if name in sys.modules])
+"""
+
+
+def test_planning_hashes_nothing_until_a_trace_is_written():
+    planned, written = _fresh_python(_PLAN_FOOTPRINT)[:2]
+    assert planned == ""
+    assert written == "hashlib _hashlib"
 
 
 def _records(text: str) -> list[str]:

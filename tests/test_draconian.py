@@ -27,7 +27,7 @@ from pqvol.graphs import (
 )
 from pqvol.sampling import random_connected_graph
 
-from conftest import compositions, connected_catalog
+from conftest import THREE_SUN, compositions, connected_catalog
 
 
 def test_star_listing_is_byte_exact():
@@ -314,18 +314,20 @@ def _relabelled(g, seed):
 
 
 @pytest.mark.parametrize(
-    "spec,sequences,augmentations,seed",
+    "g,sequences,augmentations,seed",
     [
-        pytest.param(spec, sequences, augmentations, seed,
-                     id=f"{spec[0]}:{spec[1]}" + (f"-relabelled-{seed}" if seed else ""))
-        for spec, sequences, augmentations in [
-            (("cycle", 13), 26_624, 133_417),
-            (("wheel", 10), 58_026, 192_084),
+        pytest.param(g, sequences, augmentations, seed,
+                     id=name + (f"-relabelled-{seed}" if seed is not None else ""))
+        for name, g, sequences, augmentations, seeds in [
+            ("cycle:13", generate("cycle", 13), 26_624, 133_417, (None, 1, 2, 3)),
+            ("wheel:10", generate("wheel", 10), 58_026, 192_084, (None, 1, 2, 3)),
+            # its width ties are settled by neighbourhood size, not by label
+            ("3-sun", THREE_SUN, 162, 507, range(6)),
         ]
-        for seed in (None, 1, 2, 3)
+        for seed in seeds
     ],
 )
-def test_search_effort_is_pinned(monkeypatch, spec, sequences, augmentations, seed):
+def test_search_effort_is_pinned(monkeypatch, g, sequences, augmentations, seed):
     # top-level augmentations: the look-aheads and the units routed per
     # position. The search order follows the graph's structure, not its
     # labels, so a relabelled graph costs exactly as much.
@@ -338,7 +340,6 @@ def test_search_effort_is_pinned(monkeypatch, spec, sequences, augmentations, se
             calls += 1
         return augment(i, nbrs, match_right, trail, visited)
 
-    g = generate(*spec)
     monkeypatch.setattr(draconian, "_kuhn_augment", counted)
     assert count(g if seed is None else _relabelled(g, seed)) == sequences
     assert calls == augmentations

@@ -18,6 +18,7 @@ from pqvol.graphs import (
     disjoint_union,
     from_edge_list,
     generate,
+    graph_fingerprint,
     is_two_connected,
     subdivide,
     triangle_join,
@@ -43,7 +44,7 @@ from pqvol.recurrence import (
     wheel_conjecture_value,
 )
 
-from conftest import connected_catalog
+from conftest import THREE_SUN, connected_catalog
 
 # the 4-vertex diamond-plus-edge on which both naive recurrence guesses fail
 QUARTET_BASE = from_edge_list(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
@@ -613,12 +614,6 @@ def test_oracle_mode_splits_components_only():
 # ---------------------------------------------------------------------------
 # the edge identity and the ear rule
 
-# a triangle with an ear on each edge: its central face has no outer edge
-THREE_SUN = from_edge_list(
-    6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (2, 5), (3, 5), (1, 6), (3, 6)]
-)
-
-
 def _edge_witness_holds(g, e):
     ident, wit = edge_step(g, e)
     joined = enumerate_draconian(triangle_join(g, e)).entry_set()
@@ -690,7 +685,9 @@ def test_ear_rule_plans_triangular_books():
 
 def test_replay_rejects_corrupted_ear_rows():
     trace = nvol(THREE_SUN).trace
-    with pytest.raises(ValueError, match="trace mismatch"):
+    # the report names the corrupted row by its graph's fingerprint
+    fingerprint = graph_fingerprint(THREE_SUN)
+    with pytest.raises(ValueError, match=f"mismatch at reverse-ear {fingerprint}: stored 163,"):
         replay_trace(replace(trace, value=trace.value + 1))
     for kids in (trace.children[:2], (*trace.children, trace.children[0])):
         with pytest.raises(ValueError, match="reverse-ear needs 3 children"):
