@@ -25,13 +25,14 @@ packed subset lanes grow as 2^n, at most SUBSET_MAX_N. Above a cap
 check_cap raises ResourceCapExceeded; the CLI calls it too, so a command
 that would cross a cap refuses before it does any work.
 
-With workers > 1, count and enumerate_draconian shard the search over a
-process pool, built by _executor, the only place that imports
-concurrent.futures: serial runs never load it. A call outside pool_scope
-opens its own pool and joins its workers before it returns. Inside a
-pool_scope block every sharded call uses one pool, started at the first
-such call and shut down, its workers joined, when the block exits; the CLI
-opens one block per command.
+With workers > 1, count and enumerate_draconian shard the search over the
+process pool of pool_scope, built by _executor, the only place that imports
+concurrent.futures: serial runs, and graphs with one shard prefix (n = 1),
+never load it. Every sharded call enters pool_scope. Inside an open block it
+uses the block's pool, started at the first such call and shut down, its
+workers joined, when the block exits; the CLI opens one block per command.
+A call outside every block opens a block of its own, so it starts one pool
+and joins its workers before it returns.
 """
 
 from __future__ import annotations
@@ -524,22 +525,25 @@ def pool_scope(workers: int):
 
 def _run(g: Graph, workers: int, collect: bool):
     """Draconian sequences of g in lexicographic order (collect=True) or their
-    number (collect=False), enumerated serially or over a process pool."""
+    number (collect=False), enumerated serially or over the pool of pool_scope.
+
+    With workers > 1 the search shards by prefix inside pool_scope(workers),
+    which reuses an open scope's pool or opens one for this call alone. A
+    single prefix (n = 1) runs serially.
+    """
     global _scope_pool
     if not is_connected(g):
         return [] if collect else 0
     check_cap(g.n, MAX_N, "enumeration")
     d = build_double(g)
-    if workers <= 1:
+    prefixes = _shard_prefixes(d, workers) if workers > 1 else ()
+    if len(prefixes) < 2:
         return _dfs_run(d, (), collect)
-    jobs = [(d.n, d.neighborhoods, p, collect) for p in _shard_prefixes(d, workers)]
-    # map yields results in job order whatever the pool size
-    if not _scope_workers:
-        with _executor(min(workers, len(jobs), os.cpu_count() or 1)) as pool:
-            parts = list(pool.map(_shard_task, jobs))
-    else:
+    jobs = [(d.n, d.neighborhoods, p, collect) for p in prefixes]
+    with pool_scope(workers):
         if _scope_pool is None:
             _scope_pool = _executor(_scope_workers)
+        # map yields results in job order whatever the pool size
         parts = list(_scope_pool.map(_shard_task, jobs))
     return [s for part in parts for s in part] if collect else sum(parts)
 

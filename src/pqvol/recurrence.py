@@ -69,10 +69,8 @@ __all__ = [
     "serialize_trace",
     "stirling2",
     "stirling_identity_check",
-    "subdivision_eligible",
     "subdivision_step",
     "trace_rows",
-    "triangle_eligible",
     "triangle_step",
     "wheel_conjecture_value",
 ]
@@ -203,32 +201,13 @@ class BijectionWitness:
         return disjoint and sizes_ok and (a | b | c) == target
 
 
-def _pick_degree_two_endpoint(g: Graph, e: tuple[int, int], u: int | None) -> tuple[int, int]:
+def _pick_degree_two_endpoint(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     a, b = e
-    if u is not None:
-        if u not in e:
-            raise ValueError(f"u={u} is not an endpoint of {e}")
-        if g.degree(u) != 2:
-            raise ValueError(f"endpoint u={u} must have degree 2, has {g.degree(u)}")
-        return u, b if u == a else a
     if g.degree(a) == 2:
         return a, b
     if g.degree(b) == 2:
         return b, a
     raise ValueError(f"edge {e} has no degree-2 endpoint")
-
-
-def _has_degree_two_endpoint(g: Graph, e) -> bool:
-    a, b = sorted(e)
-    return (a, b) in g.edges and (g.degree(a) == 2 or g.degree(b) == 2)
-
-
-def subdivision_eligible(g: Graph, e) -> bool:
-    return _has_degree_two_endpoint(g, e) and is_two_connected(g)
-
-
-def triangle_eligible(g: Graph, e) -> bool:
-    return _has_degree_two_endpoint(g, e) and is_connected(g)
 
 
 def _witness(kind: str, base, other, ui: int, vi: int) -> BijectionWitness:
@@ -278,12 +257,11 @@ def _witness(kind: str, base, other, ui: int, vi: int) -> BijectionWitness:
     return BijectionWitness(kind=kind, set_a=set_a, set_b=tuple(set_b), set_c=tuple(set_c))
 
 
-def subdivision_step(
-    g: Graph, e, u: int | None = None
-) -> tuple[IdentityCheck, BijectionWitness]:
+def subdivision_step(g: Graph, e) -> tuple[IdentityCheck, BijectionWitness]:
     """Subdivide e = uv (deg u = 2) in a 2-connected g and certify the count.
 
-    D(g) and D(g minus e) are listed once each and give the witness (see
+    u is the degree-2 endpoint of e, the smaller label when both are. D(g)
+    and D(g minus e) are listed once each and give the witness (see
     _witness); the subdivided graph is counted, not listed.
     """
     edge = tuple(sorted(e))
@@ -291,7 +269,7 @@ def subdivision_step(
         raise ValueError(f"edge {edge} not in graph")
     if not is_two_connected(g):
         raise ValueError("subdivision step requires a 2-connected graph")
-    u_, v_ = _pick_degree_two_endpoint(g, edge, u)
+    u_, v_ = _pick_degree_two_endpoint(g, edge)
 
     d_base = draconian.enumerate_draconian(g)
     d_del = draconian.enumerate_draconian(delete_edge(g, edge))
@@ -306,20 +284,19 @@ def subdivision_step(
     return identity, _witness("subdivision", d_base, d_del, u_ - 1, v_ - 1)
 
 
-def triangle_step(
-    g: Graph, e, u: int | None = None
-) -> tuple[IdentityCheck, BijectionWitness]:
+def triangle_step(g: Graph, e) -> tuple[IdentityCheck, BijectionWitness]:
     """Triangle-join e = uv (deg u = 2) in a connected g and certify the count.
 
-    D(g) is listed once and gives the witness (see _witness, with D(g) in
-    both roles); the triangle-joined graph is counted, not listed.
+    u is chosen as in subdivision_step. D(g) is listed once and gives the
+    witness (see _witness, with D(g) in both roles); the triangle-joined
+    graph is counted, not listed.
     """
     edge = tuple(sorted(e))
     if edge not in g.edges:
         raise ValueError(f"edge {edge} not in graph")
     if not is_connected(g):
         raise ValueError("triangle step requires a connected graph")
-    u_, v_ = _pick_degree_two_endpoint(g, edge, u)
+    u_, v_ = _pick_degree_two_endpoint(g, edge)
 
     d_base = draconian.enumerate_draconian(g)
     n_tri = draconian.count(triangle_join(g, edge))

@@ -223,6 +223,9 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
+        def shutdown(self):
+            pass
+
     monkeypatch.setattr(draconian, "_executor", SerialPool)
     monkeypatch.setattr(draconian.os, "cpu_count", lambda: 2)
     g = generate("wheel", 6)
@@ -251,6 +254,14 @@ def test_library_calls_outside_a_scope_open_and_close_their_own_pool(pool_sizes)
         count(generate("cycle", MAX_N + 1), workers=2)
     assert pool_sizes == [2, 2, 2, 2]
     assert multiprocessing.active_children() == []
+
+
+def test_a_single_shard_prefix_opens_no_pool(pool_sizes):
+    # path:1 has one prefix, (0,), so there is nothing to share out
+    g = generate("path", 1)
+    assert count(g, workers=2) == 1
+    assert enumerate_draconian(g, workers=2).to_text() == "0\n"
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,25 @@ def test_formula_flags_fully_interior_face_as_conjectural():
     assert value == count(INNER_TRIANGLE) == 162
 
 
+def test_face_product_equals_oracle_on_interior_faces(rng):
+    # the cases docs/edge-identity.md proves and the flag still marks
+    # conjectural: blocks with a face that has no outer edge
+    catalog = [
+        g for g in connected_catalog(7)
+        if is_two_connected(g) and is_outerplanar(g) and nvol_outerplanar(g)[1]
+    ]
+    assert len(catalog) == 3
+    samples = []
+    while len(samples) < 24:
+        n = rng.randint(6, 12)
+        g = generate("random_outerplanar", n, seed=rng.getrandbits(63))
+        if nvol_outerplanar(g)[1]:
+            samples.append(g)
+    assert max(g.n for g in samples) == 12
+    for g in catalog + samples:
+        assert nvol_outerplanar(g) == (count(g), True), g.sorted_edges
+
+
 def test_formula_matches_oracle_on_random_samples(rng):
     for _ in range(30):
         n = rng.randint(3, 9)

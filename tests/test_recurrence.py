@@ -19,7 +19,9 @@ from pqvol.graphs import (
     from_edge_list,
     generate,
     graph_fingerprint,
+    is_connected,
     is_two_connected,
+    permute_vertices,
     subdivide,
     triangle_join,
     write_edge_list,
@@ -36,10 +38,8 @@ from pqvol.recurrence import (
     serialize_trace,
     stirling2,
     stirling_identity_check,
-    subdivision_eligible,
     subdivision_step,
     trace_rows,
-    triangle_eligible,
     triangle_step,
     wheel_conjecture_value,
 )
@@ -102,18 +102,6 @@ def test_wheel_value_matches_stirling_identity():
     )
 
 
-def test_eligibility_predicates():
-    c3 = generate("cycle", 3)
-    assert subdivision_eligible(c3, (1, 3))
-    assert triangle_eligible(c3, (1, 3))
-    p3 = generate("path", 3)
-    assert not subdivision_eligible(p3, (1, 2))  # not 2-connected
-    assert triangle_eligible(p3, (1, 2))
-    k4 = generate("complete", 4)
-    assert not subdivision_eligible(k4, (1, 2))  # no degree-2 endpoint
-    assert not triangle_eligible(k4, (1, 2))
-
-
 def test_subdivision_step_witness_sets():
     ident, wit = subdivision_step(generate("cycle", 3), (1, 3))
     assert ident.holds
@@ -157,9 +145,9 @@ def test_step_hypothesis_violations_raise():
         subdivision_step(generate("cycle", 4), (1, 3))  # edge missing
     with pytest.raises(ValueError):
         triangle_step(generate("complete", 4), (1, 2))
-    with pytest.raises(ValueError):
-        # explicit u must be an endpoint of degree 2
-        subdivision_step(QUARTET_BASE, (2, 3), u=3)
+    # a triangle join needs connectivity only, not 2-connectivity
+    ident, _ = triangle_step(generate("path", 3), (1, 2))
+    assert ident.holds
 
 
 def test_degree_two_endpoint_tie_break():
@@ -169,19 +157,24 @@ def test_degree_two_endpoint_tie_break():
 
 def test_witnesses_cover_every_degree_two_endpoint_up_to_6():
     # every edge of every connected graph with n <= 6, at each endpoint of
-    # degree 2: the triangle join always, the subdivision on 2-connected graphs
+    # degree 2: the triangle join always, the subdivision on 2-connected graphs.
+    # The steps take the smaller-labelled degree-2 endpoint, so the larger one
+    # is reached by swapping the edge's two labels.
     cases = 0
     for g in connected_catalog(6):
         steps = [(triangle_step, triangle_join)]
         if is_two_connected(g):
             steps.append((subdivision_step, subdivide))
         for e in g.sorted_edges:
+            a, b = e
+            swap = {v: v for v in range(1, g.n + 1)} | {a: b, b: a}
             for u in e:
                 if g.degree(u) != 2:
                     continue
+                h = g if u == a else permute_vertices(g, swap)
                 for step, transform in steps:
-                    ident, wit = step(g, e, u)
-                    target = enumerate_draconian(transform(g, e)).entry_set()
+                    ident, wit = step(h, e)
+                    target = enumerate_draconian(transform(h, e)).entry_set()
                     assert ident.holds and ident.transformed_count == len(target)
                     assert wit.is_exact_cover_of(target), (g.sorted_edges, e, u)
                     cases += 1
@@ -242,8 +235,10 @@ def test_samplers_draw_eligible_pairs_and_check_2_connectivity_once(monkeypatch,
     triangle_pairs = [sampling.sample_triangle_pair(rng, 8) for _ in range(20)]
     assert max(calls.values()) == 1
     monkeypatch.undo()
-    assert all(subdivision_eligible(g, e) for g, e in subdivision_pairs)
-    assert all(triangle_eligible(g, e) for g, e in triangle_pairs)
+    assert all(is_two_connected(g) for g, _ in subdivision_pairs)
+    assert all(is_connected(g) for g, _ in triangle_pairs)
+    for g, (a, b) in subdivision_pairs + triangle_pairs:
+        assert g.has_edge(a, b) and a < b and 2 in (g.degree(a), g.degree(b))
 
 
 def test_nvol_on_disconnected_graph_multiplies_components():
