@@ -12,7 +12,11 @@ subset inequalities directly, all 2^n at once on packed integer lanes, and
 feasibility question. They must agree everywhere; the test suite enforces
 this. Both are oracles for the enumerator, which shares no acceptance test
 with either: it tests strictness while it builds each sequence, by
-look-ahead augmentations, and never checks a finished one. It visits the
+look-ahead augmentations, and never checks a finished one. Those
+augmentations run on a kernel of its own, Kuhn's search on int bitmasks
+(one mask of right neighbours per position, one of free right vertices);
+check_flow keeps its list-based Kuhn search, so the oracle shares no
+matching code with the enumerator. The enumerator visits the
 vertices in a low-width order taken from the graph's structure, so its cost
 does not depend on the labels. It walks each position's values downward and
 stops at the first value whose subtree holds no sequence, since the values
@@ -193,9 +197,11 @@ def _neighbor_lists(d: BipartiteDouble) -> list[tuple[int, ...]]:
 def _kuhn_augment(i, nbrs, match_right, trail, visited=None) -> bool:
     """Route one more unit from left vertex i; record flips on the trail.
 
-    A directly free right neighbour is taken before any alternating path is
-    searched. That changes which routing is found, never whether one exists,
-    and both callers depend only on existence (see _dfs_run).
+    The flow oracle's own augmentation: only check_flow calls it, and the
+    enumerator runs its own bitset kernel (_dfs_run). A directly free right
+    neighbour is taken before any alternating path is searched. That changes
+    which routing is found, never whether one exists, and check_flow depends
+    only on existence.
     """
     row = nbrs[i]
     for r in row:
@@ -284,12 +290,17 @@ def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
 
     Labels 1..k come first, since a shard prefix forces them. Then each step
     places the vertex that leaves the fewest right vertices adjacent both to
-    the placed vertices and to the rest (the width), breaking ties in favour
-    of a neighbour of the last placed vertex, then of the smaller closed
-    neighbourhood, and only then by the smaller label. The neighbourhood key
-    settles ties that the label would decide otherwise: without it the
-    3-sun's cost depends on its labels. Counts of unplaced neighbours per
-    right vertex make a step O(n * degree).
+    the placed vertices and to the rest (the width). Ties go to the vertex
+    whose placed neighbours were placed most recently: their placement steps,
+    newest first, are compared in turn, and when one list is a prefix of the
+    other the shorter wins. Then the smaller closed neighbourhood wins, and
+    only then the smaller label. Both keys settle ties that the label would
+    decide otherwise. On a wheel, once the hub is placed, the rim vertices at
+    both ends of the placed path neighbour the last placed vertex, the hub;
+    the label then chose the end the walk continued from, and the recursive
+    Kuhn work on wheel:10 depended on it. Without the neighbourhood key the
+    3-sun's cost did. Counts of unplaced neighbours per right vertex make a
+    step O(n * degree).
     """
     order = d._cache.get(("search_order", k))
     if order is not None:
@@ -297,22 +308,25 @@ def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
     nbrs = _neighbor_lists(d)
     rest = [len(row) for row in nbrs]  # unplaced left neighbours (the double is symmetric)
     held = bytearray(d.n + 1)  # right vertices with a placed left neighbour
+    # minus the placement steps of each vertex's placed neighbours, newest
+    # first, so that min prefers recent neighbours and then the shorter list
+    newest = [[] for _ in range(d.n + 1)]
     order = []
     unplaced = set(range(k + 1, d.n + 1))
-    for step in range(d.n):
-        v = step + 1
+    for step in range(1, d.n + 1):
+        v = step
         if v > k:
-            last = nbrs[order[-1]] if order else ()
             # placing u changes the width by the sum over r in N(u) of
             # [r keeps an unplaced neighbour] - [r was already held]
             v = min(unplaced, key=lambda u: (
                 sum((rest[r] > 1) - held[r] for r in nbrs[u]),
-                u not in last, len(nbrs[u]), u))
+                newest[u], len(nbrs[u]), u))
             unplaced.remove(v)
         order.append(v)
         for r in nbrs[v]:
             rest[r] -= 1
             held[r] = 1
+            newest[r].insert(0, -step)
     order = d._cache[("search_order", k)] = tuple(order)
     return order
 
@@ -325,6 +339,25 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     _search_order, with the right vertices renumbered by the same order, so
     neither the walk nor Kuhn's search sees a label; leaves write each value
     into its label slot, and prefix fixes a_1..a_k in label coordinates.
+
+    The matching kernel works on int masks: rows[t] has bit r set for each
+    right neighbour r of position t (under 2^19 at MAX_N = 18), free has a
+    bit per unmatched right vertex, and match_right[r] is the position a
+    matched r is routed from. augment(t, trail) routes one more unit from
+    t: it takes the lowest set bit of rows[t] & free, and when there is
+    none it clears the int seen and calls path(t), Kuhn's depth-first
+    search. path(i) takes a free neighbour of i the same way, or else walks
+    the bits of rows[i] & ~seen upward, marking each in seen before it
+    recurses into the position holding it. The lowest set bit is the
+    smallest right vertex, the one an ascending scan of i's neighbour list
+    takes first, and seen is read again after each failed recursion, as a
+    visited array would be, so the routings, listings and counts equal those
+    of a list-based search. A trail logs only flips of matched vertices, as
+    (r, previous position); the vertex a path takes from free is not logged,
+    because free is saved before each path and restored from that snapshot
+    when the path is undone. match_right of a free vertex is therefore
+    stale, and nothing reads it: path walks rows[i] only when i has no free
+    neighbour, and the release below looks only at matched vertices.
 
     An incrementally maintained unit routing holds the values of positions
     1..t-1 when position t is reached, and position t accepts val only if,
@@ -361,11 +394,18 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     look-ahead unit of n becomes a real one and one augmentation is the next
     look-ahead. Which unit is released does not matter: whether an
     augmenting path exists depends on the demands, not on the routing that
-    meets them (Berge). By the interval argument the loop stops at the first
-    failed look-ahead or when rem - val exceeds the cap of n. Its flips and
-    releases go on one log, undone last-in first-out. The listing is sorted
-    once at the end; each prefix run sorts its own, so shards still
-    concatenate in prefix order.
+    meets them (Berge); the loop releases the lowest matched vertex held by
+    n - 1. By the interval argument it stops at the first failed look-ahead
+    or when rem - val exceeds the cap of n. Its flips and releases go on one
+    log, undone last-in first-out, and free returns to its value on entry.
+    The listing is sorted once at the end; each prefix run sorts its own, so
+    shards still concatenate in prefix order.
+
+    dfs and path call themselves through their closure cells, so each sits
+    in a reference cycle that holds every cell of the search, out included.
+    The del at the end empties both cells; a cell left full would keep the
+    listing and the search state until the cyclic collector ran, and
+    test_listings_are_freed_without_the_cyclic_collector finds that.
     """
     n = d.n
     total = n - 1
@@ -373,24 +413,58 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     order = _search_order(d, k)
     pos = {v: t for t, v in enumerate(order, 1)}
     labelled = _neighbor_lists(d)
-    nbrs = [()] + [tuple(sorted(pos[r] for r in labelled[v])) for v in order]
+    rows = [0] + [sum(1 << pos[r] for r in labelled[v]) for v in order]
     slot = [0] + [v - 1 for v in order]
 
     caps = [0] * (n + 2)
     for i in range(1, n + 1):
-        caps[i] = min(len(nbrs[i]) - 1, total)
+        caps[i] = min(rows[i].bit_count() - 1, total)
     suffix = [0] * (n + 2)
     for i in range(n, 0, -1):
         suffix[i] = suffix[i + 1] + caps[i]
 
     match_right = [0] * (n + 1)
+    free = (1 << (n + 1)) - 2  # right vertices 1..n
+    seen = 0
     current = [0] * n
     out: list[tuple[int, ...]] = []
     counter = 0
     last, cap_n, slot_last, slot_n = n - 1, caps[n], slot[n - 1], slot[n]
 
+    def augment(t: int, trail: list) -> bool:
+        nonlocal free, seen
+        m = rows[t] & free
+        if m:
+            m &= -m
+            free ^= m
+            match_right[m.bit_length() - 1] = t
+            return True
+        seen = 0
+        return path(t, trail)
+
+    def path(i: int, trail: list) -> bool:
+        nonlocal free, seen
+        m = rows[i] & free
+        if m:
+            m &= -m
+            free ^= m
+            match_right[m.bit_length() - 1] = i
+            return True
+        m = rows[i] & ~seen
+        while m:
+            b = m & -m
+            seen |= b
+            r = b.bit_length() - 1
+            j = match_right[r]
+            if path(j, trail):
+                trail.append((r, j))
+                match_right[r] = i
+                return True
+            m = rows[i] & ~seen
+        return False
+
     def dfs(t: int, acc: int) -> bool:
-        nonlocal counter
+        nonlocal counter, free
         if t > n:
             if collect:
                 out.append(tuple(current))
@@ -400,6 +474,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
         rem_total = total - acc
         hi = caps[t] if caps[t] < rem_total else rem_total
         lo = 0
+        entry = free
         if t <= k:
             lo = prefix[t - 1]
             if lo < hi:
@@ -407,17 +482,21 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
         elif t == last:
             log: list[tuple[int, int]] = []
             val = -1
-            while val < hi and _kuhn_augment(t, nbrs, match_right, log):
+            while val < hi and augment(t, log):
                 val += 1
             need = rem_total - val + 1
             leaves = 0
             while val >= 0 and rem_total - val <= cap_n:
-                for r in nbrs[t]:
+                m = rows[t] & ~free
+                while True:
+                    b = m & -m
+                    r = b.bit_length() - 1
                     if match_right[r] == t:
                         break
+                    m ^= b
                 log.append((r, t))
-                match_right[r] = 0
-                while need and _kuhn_augment(n, nbrs, match_right, log):
+                free |= b
+                while need and augment(n, log):
                     need -= 1
                 if need:
                     break
@@ -430,36 +509,40 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
                 need = 1
             for r, j in reversed(log):
                 match_right[r] = j
+            free = entry
             counter += leaves
             return leaves > 0
-        trails: list[list[tuple[int, int]]] = []
+        trails: list[tuple[int, list[tuple[int, int]]]] = []
         while len(trails) <= hi:
+            snap = free
             trail: list[tuple[int, int]] = []
-            if not _kuhn_augment(t, nbrs, match_right, trail):
+            if not augment(t, trail):
                 break
-            trails.append(trail)
+            trails.append((snap, trail))
         sfx = suffix[t + 1]
         reached = False
         val = len(trails) - 1
         while val >= lo and rem_total - val <= sfx:
             # one path flips each right vertex once, so order is free here
-            for r, j in trails.pop():
+            free, trail = trails.pop()
+            for r, j in trail:
                 match_right[r] = j
             current[slot[t]] = val
             if not dfs(t + 1, acc + val):
                 break
             reached = True
             val -= 1
-        for trail in reversed(trails):
+        for _, trail in reversed(trails):
             for r, j in trail:
                 match_right[r] = j
+        free = entry
         return reached
 
     dfs(1, 0)
-    # dfs reaches itself through its closure cell; emptying the cell breaks
-    # that cycle, so out and the search state are freed by reference
-    # counting instead of waiting for the cyclic collector.
-    del dfs
+    # dfs and path reach themselves through their closure cells; emptying
+    # the cells breaks those cycles, so out and the search state are freed
+    # by reference counting instead of waiting for the cyclic collector.
+    del dfs, path
     if collect:
         out.sort()
     return out if collect else counter

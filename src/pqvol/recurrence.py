@@ -214,7 +214,8 @@ def _witness(kind: str, base, other, ui: int, vi: int) -> BijectionWitness:
     """The three images of a recurrence at e = uv, deg u = 2 (0-based ui, vi).
 
     base is D(g); other is D(g minus e) for a subdivision and D(g) again for
-    a triangle join, the only place where the two constructions differ. A
+    a triangle join (one entry set then serves both), the only place where
+    the two constructions differ. A
     maps c in D(g) to (c, 1); B maps c in other to (c, 0) + e_u; C maps c in
     D(g) to (c, 2) - e_u when c_u >= 1 and c - e_u + e_v is in D(g), and
     otherwise to (c, 0) + e_v when c is in other and to (c, 0) + e_u when not.
@@ -229,7 +230,8 @@ def _witness(kind: str, base, other, ui: int, vi: int) -> BijectionWitness:
     Callers verify a witness against an independent listing of the
     transformed graph (BijectionWitness.is_exact_cover_of).
     """
-    in_base, in_other = base.entry_set(), other.entry_set()
+    in_base = base.entry_set()
+    in_other = in_base if other is base else other.entry_set()
     set_a = tuple(((*c, 1), c) for c in base.entry_tuples())
 
     set_b = []

@@ -4,6 +4,7 @@ import gc
 import itertools
 import multiprocessing
 import random
+import sys
 
 import pytest
 
@@ -200,6 +201,24 @@ def test_search_checks_no_leaf_after_the_fact(monkeypatch, g):
         assert sum(draconian._dfs_run(d, p, False) for p in prefixes) == len(want)
 
 
+def test_the_enumerator_shares_no_matching_code_with_the_flow_oracle(monkeypatch):
+    # check_flow's Kuhn search is its own; the enumerator runs a bitset kernel
+    g = generate("wheel", 6)
+    want = enumerate_draconian(g).entry_tuples()
+
+    def oracle_only(*_args):
+        raise AssertionError("only check_flow may run _kuhn_augment")
+
+    monkeypatch.setattr(draconian, "_kuhn_augment", oracle_only)
+    assert enumerate_draconian(g).entry_tuples() == want
+    assert count(g) == len(want)
+    d = build_double(g)
+    prefixes = draconian._shard_prefixes(d, 64)
+    assert sum(draconian._dfs_run(d, p, False) for p in prefixes) == len(want)
+    with pytest.raises(AssertionError, match="only check_flow"):
+        check_flow(d, want[0])
+
+
 @pytest.mark.parametrize("g", [generate("wheel", 5), generate("complete", 5), generate("star", 6)])
 def test_worker_counts_agree_byte_for_byte(g):
     texts = {w: enumerate_draconian(g, workers=w).to_text() for w in (1, 2, 8)}
@@ -325,32 +344,38 @@ def _relabelled(g, seed):
 
 
 @pytest.mark.parametrize(
-    "g,sequences,augmentations,seed",
+    "g,sequences,augmentations,paths,seed",
     [
-        pytest.param(g, sequences, augmentations, seed,
+        pytest.param(g, sequences, augmentations, paths, seed,
                      id=name + (f"-relabelled-{seed}" if seed is not None else ""))
-        for name, g, sequences, augmentations, seeds in [
-            ("cycle:13", generate("cycle", 13), 26_624, 133_417, (None, 1, 2, 3)),
-            ("wheel:10", generate("wheel", 10), 58_026, 192_084, (None, 1, 2, 3)),
+        for name, g, sequences, augmentations, paths, seeds in [
+            ("cycle:13", generate("cycle", 13), 26_624, 133_417, 205_289, (None, 1, 2, 3)),
+            # the hub ties the neighbour-of-last key; the newest-neighbour
+            # key, not the label, decides where the walk continues
+            ("wheel:10", generate("wheel", 10), 58_026, 192_084, 237_109, (None, 1, 2, 3)),
             # its width ties are settled by neighbourhood size, not by label
-            ("3-sun", THREE_SUN, 162, 507, range(6)),
+            ("3-sun", THREE_SUN, 162, 504, 294, range(6)),
         ]
         for seed in seeds
     ],
 )
-def test_search_effort_is_pinned(monkeypatch, g, sequences, augmentations, seed):
-    # top-level augmentations: the look-aheads and the units routed per
-    # position. The search order follows the graph's structure, not its
+def test_search_effort_is_pinned(g, sequences, augmentations, paths, seed):
+    # augment runs once per top-level augmentation: the look-aheads and the
+    # units routed per position. path runs once per depth-first step of
+    # Kuhn's search. The search order follows the graph's structure, not its
     # labels, so a relabelled graph costs exactly as much.
-    calls = 0
-    augment = draconian._kuhn_augment
+    calls = {"augment": 0, "path": 0}
 
-    def counted(i, nbrs, match_right, trail, visited=None):
-        nonlocal calls
-        if visited is None:
-            calls += 1
-        return augment(i, nbrs, match_right, trail, visited)
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in calls
+                and code.co_filename == draconian.__file__):
+            calls[code.co_name] += 1
 
-    monkeypatch.setattr(draconian, "_kuhn_augment", counted)
-    assert count(g if seed is None else _relabelled(g, seed)) == sequences
-    assert calls == augmentations
+    sys.setprofile(profile)
+    try:
+        got = count(g if seed is None else _relabelled(g, seed))
+    finally:
+        sys.setprofile(None)
+    assert got == sequences
+    assert calls == {"augment": augmentations, "path": paths}
