@@ -32,11 +32,13 @@ that would cross a cap refuses before it does any work.
 With workers > 1, count and enumerate_draconian shard the search over the
 process pool of pool_scope, built by _executor, the only place that imports
 concurrent.futures: serial runs, and graphs with one shard prefix (n = 1),
-never load it. Every sharded call enters pool_scope. Inside an open block it
-uses the block's pool, started at the first such call and shut down, its
-workers joined, when the block exits; the CLI opens one block per command.
-A call outside every block opens a block of its own, so it starts one pool
-and joins its workers before it returns.
+never load it. A shard fixes the values of the first one or two positions of
+the one search order, so the shards are the root subtrees of the serial
+search; their listings are merged and sorted once. Every sharded call enters
+pool_scope. Inside an open block it uses the block's pool, started at the
+first such call and shut down, its workers joined, when the block exits; the
+CLI opens one block per command. A call outside every block opens a block of
+its own, so it starts one pool and joins its workers before it returns.
 """
 
 from __future__ import annotations
@@ -194,8 +196,8 @@ def _neighbor_lists(d: BipartiteDouble) -> list[tuple[int, ...]]:
     return lists
 
 
-def _kuhn_augment(i, nbrs, match_right, trail, visited=None) -> bool:
-    """Route one more unit from left vertex i; record flips on the trail.
+def _kuhn_augment(i, nbrs, match_right, visited=None) -> bool:
+    """Route one more unit from left vertex i.
 
     The flow oracle's own augmentation: only check_flow calls it, and the
     enumerator runs its own bitset kernel (_dfs_run). A directly free right
@@ -206,7 +208,6 @@ def _kuhn_augment(i, nbrs, match_right, trail, visited=None) -> bool:
     row = nbrs[i]
     for r in row:
         if match_right[r] == 0:
-            trail.append((r, 0))
             match_right[r] = i
             return True
     if visited is None:
@@ -215,8 +216,7 @@ def _kuhn_augment(i, nbrs, match_right, trail, visited=None) -> bool:
         if not visited[r]:
             visited[r] = 1
             j = match_right[r]
-            if _kuhn_augment(j, nbrs, match_right, trail, visited):
-                trail.append((r, j))
+            if _kuhn_augment(j, nbrs, match_right, visited):
                 match_right[r] = i
                 return True
     return False
@@ -273,10 +273,9 @@ def check_flow(d: BipartiteDouble, a) -> bool:
         return False
     nbrs = _neighbor_lists(d)
     match_right = [0] * (n + 1)
-    scratch: list[tuple[int, int]] = []
     for i in range(1, n + 1):
         for _ in range(seq[i - 1]):
-            if not _kuhn_augment(i, nbrs, match_right, scratch):
+            if not _kuhn_augment(i, nbrs, match_right):
                 return False
     return _all_reach_free(nbrs, match_right, n)
 
@@ -285,24 +284,23 @@ def check_flow(d: BipartiteDouble, a) -> bool:
 # Enumeration
 
 
-def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
-    """Vertex labels in the order _dfs_run walks its positions; cached per k.
+def _search_order(d: BipartiteDouble) -> tuple[int, ...]:
+    """Vertex labels in the order _dfs_run walks its positions; cached per double.
 
-    Labels 1..k come first, since a shard prefix forces them. Then each step
-    places the vertex that leaves the fewest right vertices adjacent both to
-    the placed vertices and to the rest (the width). Ties go to the vertex
-    whose placed neighbours were placed most recently: their placement steps,
-    newest first, are compared in turn, and when one list is a prefix of the
-    other the shorter wins. Then the smaller closed neighbourhood wins, and
-    only then the smaller label. Both keys settle ties that the label would
-    decide otherwise. On a wheel, once the hub is placed, the rim vertices at
-    both ends of the placed path neighbour the last placed vertex, the hub;
-    the label then chose the end the walk continued from, and the recursive
-    Kuhn work on wheel:10 depended on it. Without the neighbourhood key the
-    3-sun's cost did. Counts of unplaced neighbours per right vertex make a
-    step O(n * degree).
+    Each step places the vertex that leaves the fewest right vertices adjacent
+    both to the placed vertices and to the rest (the width). Ties go to the
+    vertex whose placed neighbours were placed most recently: their placement
+    steps, newest first, are compared in turn, and when one list is a prefix
+    of the other the shorter wins. Then the smaller closed neighbourhood wins,
+    and only then the smaller label. Both keys settle ties that the label
+    would decide otherwise. On a wheel, once the hub is placed, the rim
+    vertices at both ends of the placed path neighbour the last placed vertex,
+    the hub; the label then chose the end the walk continued from, and the
+    recursive Kuhn work on wheel:10 depended on it. Without the neighbourhood
+    key the 3-sun's cost did. Counts of unplaced neighbours per right vertex
+    make a step O(n * degree).
     """
-    order = d._cache.get(("search_order", k))
+    order = d._cache.get("search_order")
     if order is not None:
         return order
     nbrs = _neighbor_lists(d)
@@ -312,22 +310,20 @@ def _search_order(d: BipartiteDouble, k: int) -> tuple[int, ...]:
     # first, so that min prefers recent neighbours and then the shorter list
     newest = [[] for _ in range(d.n + 1)]
     order = []
-    unplaced = set(range(k + 1, d.n + 1))
+    unplaced = set(range(1, d.n + 1))
     for step in range(1, d.n + 1):
-        v = step
-        if v > k:
-            # placing u changes the width by the sum over r in N(u) of
-            # [r keeps an unplaced neighbour] - [r was already held]
-            v = min(unplaced, key=lambda u: (
-                sum((rest[r] > 1) - held[r] for r in nbrs[u]),
-                newest[u], len(nbrs[u]), u))
-            unplaced.remove(v)
+        # placing u changes the width by the sum over r in N(u) of
+        # [r keeps an unplaced neighbour] - [r was already held]
+        v = min(unplaced, key=lambda u: (
+            sum((rest[r] > 1) - held[r] for r in nbrs[u]),
+            newest[u], len(nbrs[u]), u))
+        unplaced.remove(v)
         order.append(v)
         for r in nbrs[v]:
             rest[r] -= 1
             held[r] = 1
             newest[r].insert(0, -step)
-    order = d._cache[("search_order", k)] = tuple(order)
+    order = d._cache["search_order"] = tuple(order)
     return order
 
 
@@ -338,7 +334,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     number (collect=False). Position t works on vertex order[t - 1] of
     _search_order, with the right vertices renumbered by the same order, so
     neither the walk nor Kuhn's search sees a label; leaves write each value
-    into its label slot, and prefix fixes a_1..a_k in label coordinates.
+    into its label slot, and prefix fixes the values of positions 1..k.
 
     The matching kernel works on int masks: rows[t] has bit r set for each
     right neighbour r of position t (under 2^19 at MAX_N = 18), free has a
@@ -398,8 +394,8 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     n - 1. By the interval argument it stops at the first failed look-ahead
     or when rem - val exceeds the cap of n. Its flips and releases go on one
     log, undone last-in first-out, and free returns to its value on entry.
-    The listing is sorted once at the end; each prefix run sorts its own, so
-    shards still concatenate in prefix order.
+    The listing is sorted once at the end, a prefix run's too; _run merges
+    the shards' sorted listings.
 
     dfs and path call themselves through their closure cells, so each sits
     in a reference cycle that holds every cell of the search, out included.
@@ -410,7 +406,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     n = d.n
     total = n - 1
     k = len(prefix)
-    order = _search_order(d, k)
+    order = _search_order(d)
     pos = {v: t for t, v in enumerate(order, 1)}
     labelled = _neighbor_lists(d)
     rows = [0] + [sum(1 << pos[r] for r in labelled[v]) for v in order]
@@ -549,19 +545,18 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
 
 
 def _shard_prefixes(d: BipartiteDouble, workers: int) -> list[tuple[int, ...]]:
-    """Fixed first-coordinate prefixes whose completions partition the search.
+    """Prefixes whose runs are the root subtrees of the serial search.
 
-    Sharding fixes a_1 (and a_2 when more shards help), in label coordinates:
-    _search_order puts labels 1..k first, so a prefix run forces them and
-    orders the rest by width. Each run sorts its own listing, so
-    concatenating shard results in prefix order reproduces the unsharded
-    lexicographic output.
+    A prefix fixes the value of the first search position (and of the second
+    when more shards help), so the runs partition the serial search tree and
+    together do its work. Each run sorts its own listing; _run merges them.
     """
     total = d.n - 1
-    cap1 = min(d.neighborhoods[0].bit_count() - 1, total)
+    order = _search_order(d)
+    cap1 = min(d.neighborhoods[order[0] - 1].bit_count() - 1, total)
     if d.n < 2 or cap1 + 1 >= workers:
         return [(v,) for v in range(cap1 + 1)]
-    cap2 = min(d.neighborhoods[1].bit_count() - 1, total)
+    cap2 = min(d.neighborhoods[order[1] - 1].bit_count() - 1, total)
     return [(v1, v2) for v1 in range(cap1 + 1) for v2 in range(cap2 + 1)]
 
 
@@ -610,14 +605,16 @@ def _run(g: Graph, workers: int, collect: bool):
     """Draconian sequences of g in lexicographic order (collect=True) or their
     number (collect=False), enumerated serially or over the pool of pool_scope.
 
-    With workers > 1 the search shards by prefix inside pool_scope(workers),
-    which reuses an open scope's pool or opens one for this call alone. A
-    single prefix (n = 1) runs serially.
+    workers is first clamped to the cpu count, so a one-cpu host runs
+    serially. With workers > 1 the search shards by prefix inside
+    pool_scope(workers), which reuses an open scope's pool or opens one for
+    this call alone. A single prefix (n = 1) runs serially.
     """
     global _scope_pool
     if not is_connected(g):
         return [] if collect else 0
     check_cap(g.n, MAX_N, "enumeration")
+    workers = min(workers, os.cpu_count() or 1)
     d = build_double(g)
     prefixes = _shard_prefixes(d, workers) if workers > 1 else ()
     if len(prefixes) < 2:
@@ -628,7 +625,7 @@ def _run(g: Graph, workers: int, collect: bool):
             _scope_pool = _executor(_scope_workers)
         # map yields results in job order whatever the pool size
         parts = list(_scope_pool.map(_shard_task, jobs))
-    return [s for part in parts for s in part] if collect else sum(parts)
+    return sorted(s for part in parts for s in part) if collect else sum(parts)
 
 
 def enumerate_draconian(g: Graph, workers: int = 1) -> DraconianSet:

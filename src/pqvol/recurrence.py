@@ -47,7 +47,6 @@ from .graphs import (
     from_edge_list,
     induced_subgraph,
     is_connected,
-    is_two_connected,
     subdivide,
     triangle_join,
 )
@@ -260,8 +259,10 @@ def _witness(kind: str, base, other, ui: int, vi: int) -> BijectionWitness:
 
 
 def subdivision_step(g: Graph, e) -> tuple[IdentityCheck, BijectionWitness]:
-    """Subdivide e = uv (deg u = 2) in a 2-connected g and certify the count.
+    """Subdivide e = uv (deg u = 2) in a connected g and certify the count.
 
+    The edge identity (docs/edge-identity.md) and t = 3b give s = 2b + d on
+    any connected g; d = 0 when e is a bridge.
     u is the degree-2 endpoint of e, the smaller label when both are. D(g)
     and D(g minus e) are listed once each and give the witness (see
     _witness); the subdivided graph is counted, not listed.
@@ -269,8 +270,8 @@ def subdivision_step(g: Graph, e) -> tuple[IdentityCheck, BijectionWitness]:
     edge = tuple(sorted(e))
     if edge not in g.edges:
         raise ValueError(f"edge {edge} not in graph")
-    if not is_two_connected(g):
-        raise ValueError("subdivision step requires a 2-connected graph")
+    if not is_connected(g):
+        raise ValueError("subdivision step requires a connected graph")
     u_, v_ = _pick_degree_two_endpoint(g, edge)
 
     d_base = draconian.enumerate_draconian(g)

@@ -44,6 +44,20 @@ THREE_SUN = from_edge_list(
 )
 
 
+def assert_shards_split(d, serial: list, workers: int) -> None:
+    """Each shard run lists exactly the serial entries whose values at the
+    first len(p) search positions are its prefix p, and the sorted union of
+    the shards is the serial listing."""
+    order = draconian._search_order(d)
+    union = []
+    for p in draconian._shard_prefixes(d, workers):
+        part = draconian._dfs_run(d, p, True)
+        assert part == [s for s in serial if tuple(s[v - 1] for v in order[: len(p)]) == p]
+        assert draconian._dfs_run(d, p, False) == len(part)
+        union += part
+    assert sorted(union) == serial
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260814)

@@ -28,7 +28,7 @@ from pqvol.graphs import (
 )
 from pqvol.sampling import random_connected_graph
 
-from conftest import THREE_SUN, compositions, connected_catalog
+from conftest import THREE_SUN, assert_shards_split, compositions, connected_catalog
 
 
 def test_star_listing_is_byte_exact():
@@ -195,10 +195,7 @@ def test_search_checks_no_leaf_after_the_fact(monkeypatch, g):
     assert enumerate_draconian(g).entry_tuples() == want
     assert count(g) == len(want)
     for workers in (2, 64):
-        prefixes = draconian._shard_prefixes(d, workers)
-        parts = [draconian._dfs_run(d, p, True) for p in prefixes]
-        assert tuple(s for part in parts for s in part) == want
-        assert sum(draconian._dfs_run(d, p, False) for p in prefixes) == len(want)
+        assert_shards_split(d, list(want), workers)
 
 
 def test_the_enumerator_shares_no_matching_code_with_the_flow_oracle(monkeypatch):
@@ -252,6 +249,15 @@ def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
     assert requested == [2]
 
 
+def test_a_one_cpu_host_opens_no_pool(monkeypatch, pool_sizes):
+    # workers is clamped to the cpu count before the shards are chosen
+    monkeypatch.setattr(draconian.os, "cpu_count", lambda: 1)
+    g = generate("wheel", 6)
+    assert count(g, workers=2) == 666
+    assert enumerate_draconian(g, workers=2).to_text() == enumerate_draconian(g).to_text()
+    assert pool_sizes == []
+
+
 def test_library_calls_outside_a_scope_open_and_close_their_own_pool(pool_sizes):
     g = generate("wheel", 6)
     for _ in range(2):
@@ -290,14 +296,14 @@ def test_a_single_shard_prefix_opens_no_pool(pool_sizes):
         generate("wheel", 5),
         generate("star", 6),
         generate("complete_bipartite", 2, 4),
-        # relabelled so that low values at the early positions leave more
-        # units than the later positions take: many children end empty,
-        # last-two subtrees among them
+        # relabelled so that the search walks the cycle as 1, 3, 5, ...: a
+        # two-position shard fixes labels 1 and 3, so its entries are no
+        # contiguous block of the serial listing
         permute_vertices(generate("cycle", 9), {i: 2 * i % 9 + 1 for i in range(1, 10)}),
         # n = 2: the serial root is position n - 1, settled with n in one
         # loop, and every prefix forces it
         generate("path", 2),
-        # n = 3 at 64 workers: the two-coordinate prefix forces position
+        # n = 3 at 64 workers: the two-position prefix forces position
         # n - 1, so n is searched on its own
         generate("path", 3),
         generate("complete", 3),
@@ -305,17 +311,10 @@ def test_a_single_shard_prefix_opens_no_pool(pool_sizes):
 )
 @pytest.mark.parametrize("workers", [2, 64])
 def test_forced_prefix_runs_match_the_serial_listing(g, workers):
-    # one- and two-coordinate prefixes, some with no completion, each forced
-    # through the search loop in-process, so no pool starts; each run
-    # sorts its own listing
+    # one- and two-position prefixes, some with no completion, each forced
+    # through the search loop in-process, so no pool starts
     d = build_double(g)
-    serial = draconian._dfs_run(d, (), True)
-    prefixes = draconian._shard_prefixes(d, workers)
-    parts = [draconian._dfs_run(d, p, True) for p in prefixes]
-    for p, part in zip(prefixes, parts):
-        assert part == [s for s in serial if s[: len(p)] == p]
-        assert draconian._dfs_run(d, p, False) == len(part)
-    assert [s for part in parts for s in part] == serial
+    assert_shards_split(d, draconian._dfs_run(d, (), True), workers)
 
 
 def test_listings_are_freed_without_the_cyclic_collector():
@@ -343,27 +342,25 @@ def _relabelled(g, seed):
     return permute_vertices(g, dict(zip(range(1, g.n + 1), image)))
 
 
-@pytest.mark.parametrize(
-    "g,sequences,augmentations,paths,seed",
-    [
-        pytest.param(g, sequences, augmentations, paths, seed,
-                     id=name + (f"-relabelled-{seed}" if seed is not None else ""))
-        for name, g, sequences, augmentations, paths, seeds in [
-            ("cycle:13", generate("cycle", 13), 26_624, 133_417, 205_289, (None, 1, 2, 3)),
-            # the hub ties the neighbour-of-last key; the newest-neighbour
-            # key, not the label, decides where the walk continues
-            ("wheel:10", generate("wheel", 10), 58_026, 192_084, 237_109, (None, 1, 2, 3)),
-            # its width ties are settled by neighbourhood size, not by label
-            ("3-sun", THREE_SUN, 162, 504, 294, range(6)),
-        ]
-        for seed in seeds
-    ],
-)
-def test_search_effort_is_pinned(g, sequences, augmentations, paths, seed):
-    # augment runs once per top-level augmentation: the look-aheads and the
-    # units routed per position. path runs once per depth-first step of
-    # Kuhn's search. The search order follows the graph's structure, not its
-    # labels, so a relabelled graph costs exactly as much.
+# name, graph, sequence count, the serial augment and path calls, and the
+# relabelling seeds that must cost exactly as much
+_EFFORT_PINS = [
+    ("cycle:13", generate("cycle", 13), 26_624, 133_417, 205_289, (None, 1, 2, 3)),
+    # the hub ties the neighbour-of-last key; the newest-neighbour key, not
+    # the label, decides where the walk continues
+    ("wheel:10", generate("wheel", 10), 58_026, 192_084, 237_109, (None, 1, 2, 3)),
+    # its width ties are settled by neighbourhood size, not by label
+    ("3-sun", THREE_SUN, 162, 504, 294, range(6)),
+]
+
+
+def _search_effort(run):
+    """run()'s result and its calls of the enumerator's augment and path.
+
+    augment runs once per top-level augmentation: the look-aheads and the
+    units routed per position. path runs once per depth-first step of Kuhn's
+    search.
+    """
     calls = {"augment": 0, "path": 0}
 
     def profile(frame, event, arg):
@@ -374,8 +371,44 @@ def test_search_effort_is_pinned(g, sequences, augmentations, paths, seed):
 
     sys.setprofile(profile)
     try:
-        got = count(g if seed is None else _relabelled(g, seed))
+        got = run()
     finally:
         sys.setprofile(None)
+    return got, calls
+
+
+@pytest.mark.parametrize(
+    "g,sequences,augmentations,paths,seed",
+    [
+        pytest.param(g, sequences, augmentations, paths, seed,
+                     id=name + (f"-relabelled-{seed}" if seed is not None else ""))
+        for name, g, sequences, augmentations, paths, seeds in _EFFORT_PINS
+        for seed in seeds
+    ],
+)
+def test_search_effort_is_pinned(g, sequences, augmentations, paths, seed):
+    # The search order follows the graph's structure, not its labels, so a
+    # relabelled graph costs exactly as much.
+    got, calls = _search_effort(lambda: count(g if seed is None else _relabelled(g, seed)))
     assert got == sequences
     assert calls == {"augment": augmentations, "path": paths}
+
+
+@pytest.mark.parametrize(
+    "g,paths", [pytest.param(g, paths, id=name) for name, g, _, _, paths, _ in _EFFORT_PINS]
+)
+def test_shards_split_the_serial_search(g, paths):
+    # The shards are root subtrees of the one serial search, so at 2 workers
+    # their path calls sum to the serial pin, and neither the shards nor
+    # their summed effort depend on the labels.
+    for workers in (2, 64):
+        efforts = set()
+        for seed in (None, 1, 2, 3):
+            d = build_double(g if seed is None else _relabelled(g, seed))
+            prefixes = draconian._shard_prefixes(d, workers)
+            _, calls = _search_effort(
+                lambda: [draconian._dfs_run(d, p, False) for p in prefixes])
+            efforts.add((len(prefixes), calls["augment"], calls["path"]))
+        assert len(efforts) == 1, (workers, efforts)
+        if workers == 2:
+            assert efforts.pop()[2] == paths

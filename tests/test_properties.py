@@ -5,7 +5,6 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqvol import draconian
 from pqvol.draconian import check_flow, check_subset, count, enumerate_draconian
 from pqvol.graphs import (
     build_double,
@@ -17,7 +16,7 @@ from pqvol.graphs import (
 )
 from pqvol.sampling import sample_subdivision_pair, sample_triangle_pair
 
-from conftest import compositions
+from conftest import assert_shards_split, compositions
 
 
 @st.composite
@@ -76,7 +75,8 @@ def test_count_is_relabeling_invariant(case):
 @settings(max_examples=60, deadline=None)
 def test_listings_follow_relabellings(case):
     # the search walks an order chosen from the graph's structure, yet lists
-    # in label order, serially and over the shard prefixes
+    # in label order; each shard is a root subtree of that search, and the
+    # shards' merged listings are the serial one
     g, perm = case
     h = permute_vertices(g, perm)
     want = []
@@ -89,8 +89,7 @@ def test_listings_follow_relabellings(case):
     assert list(enumerate_draconian(h).entry_tuples()) == want
     d = build_double(h)
     for workers in (2, 64):
-        prefixes = draconian._shard_prefixes(d, workers)
-        assert [s for p in prefixes for s in draconian._dfs_run(d, p, True)] == want
+        assert_shards_split(d, want, workers)
 
 
 @given(st.integers(0, 2**32 - 1))

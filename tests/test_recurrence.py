@@ -137,8 +137,11 @@ def test_triangle_step_witness_sets():
 
 
 def test_step_hypothesis_violations_raise():
-    with pytest.raises(ValueError):
-        subdivision_step(generate("path", 3), (1, 2))
+    # a subdivision needs connectivity only too: here e is a bridge, so
+    # g minus e is disconnected and 8 = 2 * 4 + 0
+    ident, _ = subdivision_step(generate("path", 3), (1, 2))
+    assert ident.holds
+    assert (ident.transformed_count, ident.base_count, ident.deleted_count) == (8, 4, 0)
     with pytest.raises(ValueError):
         subdivision_step(generate("complete", 4), (1, 2))
     with pytest.raises(ValueError):
@@ -157,14 +160,11 @@ def test_degree_two_endpoint_tie_break():
 
 def test_witnesses_cover_every_degree_two_endpoint_up_to_6():
     # every edge of every connected graph with n <= 6, at each endpoint of
-    # degree 2: the triangle join always, the subdivision on 2-connected graphs.
-    # The steps take the smaller-labelled degree-2 endpoint, so the larger one
-    # is reached by swapping the edge's two labels.
+    # degree 2, by both steps. The steps take the smaller-labelled degree-2
+    # endpoint, so the larger one is reached by swapping the edge's two labels.
+    steps = [(triangle_step, triangle_join), (subdivision_step, subdivide)]
     cases = 0
     for g in connected_catalog(6):
-        steps = [(triangle_step, triangle_join)]
-        if is_two_connected(g):
-            steps.append((subdivision_step, subdivide))
         for e in g.sorted_edges:
             a, b = e
             swap = {v: v for v in range(1, g.n + 1)} | {a: b, b: a}
@@ -178,7 +178,7 @@ def test_witnesses_cover_every_degree_two_endpoint_up_to_6():
                     assert ident.holds and ident.transformed_count == len(target)
                     assert wit.is_exact_cover_of(target), (g.sorted_edges, e, u)
                     cases += 1
-    assert cases == 692
+    assert cases == 944
 
 
 def test_subdivision_step_lists_two_graphs_and_counts_one(monkeypatch):
@@ -230,7 +230,6 @@ def test_samplers_draw_eligible_pairs_and_check_2_connectivity_once(monkeypatch,
         return graphs.is_two_connected(g)
 
     monkeypatch.setattr(sampling, "is_two_connected", counted)
-    monkeypatch.setattr(recurrence, "is_two_connected", counted)
     subdivision_pairs = [sampling.sample_subdivision_pair(rng, 8) for _ in range(20)]
     triangle_pairs = [sampling.sample_triangle_pair(rng, 8) for _ in range(20)]
     assert max(calls.values()) == 1
