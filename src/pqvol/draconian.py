@@ -20,8 +20,11 @@ matching code with the enumerator. The enumerator visits the
 vertices in a low-width order taken from the graph's structure, so its cost
 does not depend on the labels. It walks each position's values downward and
 stops at the first value whose subtree holds no sequence, since the values
-that extend a prefix form an interval, and settles the last two positions in
-one loop; the listing is sorted once into lexicographic label order.
+that extend a prefix form an interval, or sooner, at the first value that
+leaves more units than the later positions' joint neighbourhood can take.
+A prefix with no units left closes as one leaf of zeros, and the last two
+positions are settled in one loop; the listing is sorted once into
+lexicographic label order.
 
 The size caps live here and nowhere else: the enumerator (so count and
 enumerate_draconian) accepts at most MAX_N vertices, and check_subset, whose
@@ -375,13 +378,26 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     carry min(M, rem - val) units, where M is what they carry with val = 0.
     Hence val extends the prefix iff val >= rem - M, and the values that do
     form the interval [max(0, rem - M), top accepted value]. The first child
-    whose subtree reaches no leaf therefore ends the walk, and so does the
-    cheaper necessary test rem - val <= (sum of the later caps); an empty
-    subtree costs one path down to position n - 1. dfs returns whether its
-    subtree reached a leaf. Every leaf the search reaches is a draconian
-    sequence; none is checked after the fact. The same loop forces the
-    prefix: at t <= k it routes at most prefix[t - 1] + 1 units and descends
-    only at that value.
+    whose subtree reaches no leaf therefore ends the walk; an empty subtree
+    costs one path down to position n - 1. Two bounds that cost nothing per
+    node end it sooner:
+
+    - Tail bound: the walk stops before a val with rem - val > suffix[t + 1],
+      where suffix[u] = min(suffix[u + 1] + caps[u], |N(L_u)| - 1) and L_u is
+      the set of positions u..n. Proof: a draconian sequence has
+      a(L_u) < |N(L_u)|, and each position carries at most its cap.
+    - Zero remainder: at t > k with no units left, the only completion is
+      all zeros, and dfs takes it as one leaf with no look-ahead. Proof: if
+      S holds placed positions P, then a(S) = a(P) < |N(P)| <= |N(S)|, the
+      strict inequality certified at the largest position of P; a set of
+      unplaced positions has a(S) = 0 < |N(S)|.
+
+    dfs returns whether its subtree reached a leaf. Every leaf the search
+    reaches is a draconian sequence; none is checked after the fact. The
+    same loop forces the prefix: at t <= k it routes at most
+    prefix[t - 1] + 1 units and descends only at that value. Each dfs call
+    sets its slots back to 0 before it returns, so the slots of the unplaced
+    positions read 0 when a zero remainder closes a leaf.
 
     Positions n - 1 and n (unless the prefix forces n - 1) share one loop:
     n takes rem - val, so each val needs only the look-ahead of n. For
@@ -415,9 +431,13 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     caps = [0] * (n + 2)
     for i in range(1, n + 1):
         caps[i] = min(rows[i].bit_count() - 1, total)
+    # suffix[t] bounds what positions t..n carry together: their caps, and
+    # one less than the right vertices of their joint neighbourhood
     suffix = [0] * (n + 2)
+    joint = 0
     for i in range(n, 0, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
+        joint |= rows[i]
+        suffix[i] = min(suffix[i + 1] + caps[i], joint.bit_count() - 1)
 
     match_right = [0] * (n + 1)
     free = (1 << (n + 1)) - 2  # right vertices 1..n
@@ -461,7 +481,8 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
 
     def dfs(t: int, acc: int) -> bool:
         nonlocal counter, free
-        if t > n:
+        if acc == total and t > k:
+            # positions t..n take 0, and their slots already read 0
             if collect:
                 out.append(tuple(current))
             else:
@@ -506,6 +527,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             for r, j in reversed(log):
                 match_right[r] = j
             free = entry
+            current[slot_last] = current[slot_n] = 0
             counter += leaves
             return leaves > 0
         trails: list[tuple[int, list[tuple[int, int]]]] = []
@@ -532,6 +554,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             for r, j in trail:
                 match_right[r] = j
         free = entry
+        current[slot[t]] = 0
         return reached
 
     dfs(1, 0)
@@ -549,7 +572,8 @@ def _shard_prefixes(d: BipartiteDouble, workers: int) -> list[tuple[int, ...]]:
 
     A prefix fixes the value of the first search position (and of the second
     when more shards help), so the runs partition the serial search tree and
-    together do its work. Each run sorts its own listing; _run merges them.
+    together do its work. Two values summing past n - 1 have no completion,
+    so they make no prefix. Each run sorts its own listing; _run merges them.
     """
     total = d.n - 1
     order = _search_order(d)
@@ -557,7 +581,7 @@ def _shard_prefixes(d: BipartiteDouble, workers: int) -> list[tuple[int, ...]]:
     if d.n < 2 or cap1 + 1 >= workers:
         return [(v,) for v in range(cap1 + 1)]
     cap2 = min(d.neighborhoods[order[1] - 1].bit_count() - 1, total)
-    return [(v1, v2) for v1 in range(cap1 + 1) for v2 in range(cap2 + 1)]
+    return [(v1, v2) for v1 in range(cap1 + 1) for v2 in range(min(cap2, total - v1) + 1)]
 
 
 def _shard_task(args):
