@@ -23,7 +23,10 @@ stops at the first value whose subtree holds no sequence, since the values
 that extend a prefix form an interval, or sooner, at the first value that
 leaves more units than the later positions' joint neighbourhood can take.
 A prefix with no units left closes as one leaf of zeros, and the last two
-positions are settled in one loop; the listing is sorted once into
+positions are settled in one loop. There a unit that position n - 1 gives up
+moves straight to n whenever n reaches its right vertex, with no search: by
+Berge's augmenting-path theorem a routing exists or not by the demands
+alone, whichever units meet them. The listing is sorted once into
 lexicographic label order.
 
 The size caps live here and nowhere else: the enumerator (so count and
@@ -356,7 +359,8 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     because free is saved before each path and restored from that snapshot
     when the path is undone. match_right of a free vertex is therefore
     stale, and nothing reads it: path walks rows[i] only when i has no free
-    neighbour, and the release below looks only at matched vertices.
+    neighbour, and the move and the release below look only at matched
+    vertices.
 
     An incrementally maintained unit routing holds the values of positions
     1..t-1 when position t is reached, and position t accepts val only if,
@@ -401,15 +405,21 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
 
     Positions n - 1 and n (unless the prefix forces n - 1) share one loop:
     n takes rem - val, so each val needs only the look-ahead of n. For
-    val = top, release one right vertex held by n - 1 and augment from n
-    rem - val + 1 times; for each smaller val release one more, so the last
-    look-ahead unit of n becomes a real one and one augmentation is the next
-    look-ahead. Which unit is released does not matter: whether an
-    augmenting path exists depends on the demands, not on the routing that
-    meets them (Berge); the loop releases the lowest matched vertex held by
-    n - 1. By the interval argument it stops at the first failed look-ahead
-    or when rem - val exceeds the cap of n. Its flips and releases go on one
-    log, undone last-in first-out, and free returns to its value on entry.
+    val = top, n - 1 gives up one unit and n takes rem - val + 1; for each
+    smaller val n - 1 gives up one more and n takes one more, so the last
+    look-ahead unit of n becomes a real one and one more unit is the next
+    look-ahead. Whether an augmenting path exists depends on the demands,
+    not on the routing that meets them (Berge): by the symmetric difference
+    with a larger routing, there is one from n iff the demands with one
+    more unit at n have a routing. So the unit n - 1 gives up can go
+    straight to n. When n - 1 holds a matched right vertex that n also
+    reaches, the loop moves the lowest such vertex to n; the result routes
+    exactly the next demands, so the move counts as one of n's units, needs
+    no search and leaves free as it is. Otherwise it releases the lowest
+    matched vertex held by n - 1 and augments from n. By the interval
+    argument it stops at the first failed look-ahead or when rem - val
+    exceeds the cap of n. Its moves, flips and releases go on one log,
+    undone last-in first-out, and free returns to its value on entry.
     The listing is sorted once at the end, a prefix run's too; _run merges
     the shards' sorted listings.
 
@@ -446,6 +456,7 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
     out: list[tuple[int, ...]] = []
     counter = 0
     last, cap_n, slot_last, slot_n = n - 1, caps[n], slot[n - 1], slot[n]
+    rows_n = rows[n]
 
     def augment(t: int, trail: list) -> bool:
         nonlocal free, seen
@@ -504,15 +515,28 @@ def _dfs_run(d: BipartiteDouble, prefix, collect: bool):
             need = rem_total - val + 1
             leaves = 0
             while val >= 0 and rem_total - val <= cap_n:
-                m = rows[t] & ~free
-                while True:
+                held = rows[t] & ~free
+                # a unit of n - 1 on a right vertex that n reaches moves to
+                # n; only when there is none is a unit released
+                m = held & rows_n
+                while m:
                     b = m & -m
                     r = b.bit_length() - 1
                     if match_right[r] == t:
                         break
                     m ^= b
+                if m:
+                    match_right[r] = n
+                    need -= 1
+                else:
+                    while True:
+                        b = held & -held
+                        r = b.bit_length() - 1
+                        if match_right[r] == t:
+                            break
+                        held ^= b
+                    free |= b
                 log.append((r, t))
-                free |= b
                 while need and augment(n, log):
                     need -= 1
                 if need:

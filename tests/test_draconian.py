@@ -369,12 +369,16 @@ def _relabelled(g, seed):
 # name, graph, sequence count, the serial augment and path calls, and the
 # relabelling seeds that must cost exactly as much
 _EFFORT_PINS = [
-    ("cycle:13", generate("cycle", 13), 26_624, 112_166, 167_512, (None, 1, 2, 3)),
+    ("cycle:13", generate("cycle", 13), 26_624, 85_797, 125_014, (None, 1, 2, 3)),
     # the hub ties the neighbour-of-last key; the newest-neighbour key, not
     # the label, decides where the walk continues
-    ("wheel:10", generate("wheel", 10), 58_026, 163_083, 213_960, (None, 1, 2, 3)),
+    ("wheel:10", generate("wheel", 10), 58_026, 119_871, 175_485, (None, 1, 2, 3)),
     # its width ties are settled by neighbourhood size, not by label
-    ("3-sun", THREE_SUN, 162, 449, 286, range(6)),
+    ("3-sun", THREE_SUN, 162, 309, 125, range(6)),
+    # the smallest graphs whose last-two loop both moves a unit of n - 1 to
+    # n and releases one, so skipping or limiting the move moves these pins
+    ("cycle:4", generate("cycle", 4), 16, 30, 23, (None, 1, 2, 3)),
+    ("star:5", generate("star", 5), 16, 46, 20, (None, 1, 2, 3)),
 ]
 
 
@@ -382,8 +386,9 @@ def _search_effort(run):
     """run()'s result and its calls of the enumerator's augment and path.
 
     augment runs once per top-level augmentation: the look-aheads and the
-    units routed per position. path runs once per depth-first step of Kuhn's
-    search.
+    units routed per position. A move in the last-two loop, a unit of
+    position n - 1 handed straight to n, is an augmentation that does not
+    call augment. path runs once per depth-first step of Kuhn's search.
     """
     calls = {"augment": 0, "path": 0}
 
