@@ -308,15 +308,19 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[Edge]], set[int]]:
-    """Biconnected components (as edge sets) and cut vertices, Hopcroft-Tarjan.
+def _hopcroft_tarjan(g: Graph) -> tuple[list[tuple[int, ...]], list[frozenset[Edge]], set[int]]:
+    """Components, blocks and cut vertices of g from one Hopcroft-Tarjan walk.
 
-    Isolated vertices belong to no block. Bridges form single-edge blocks.
-    Blocks are returned sorted by their smallest edge for determinism.
+    Components are the vertex sets of the DFS trees, rooted in ascending
+    label order, so they come out as connected_components gives them: each
+    ascending, ordered by minimum, an isolated vertex on its own. Blocks are
+    edge sets sorted by their smallest edge; isolated vertices belong to no
+    block, and a bridge is a single-edge block.
     """
     adj = g._adj
     disc = [0] * (g.n + 1)  # 0 means unvisited; discovery times start at 1
     low = [0] * (g.n + 1)
+    comps: list[tuple[int, ...]] = []
     blocks: list[frozenset[Edge]] = []
     cuts: set[int] = set()
     edge_stack: list[Edge] = []
@@ -324,57 +328,68 @@ def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[Edge]], set[int]]:
 
     # iterative DFS so deep paths cannot hit the recursion limit
     for root in range(1, g.n + 1):
-        if disc[root] or not adj[root]:
+        if disc[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
+        comp = [root]
         root_children = 0
-        work: list[tuple[int, int, int]] = [(root, 0, 0)]  # vertex, parent, next nbr index
+        # vertex, parent, neighbour iterator, edge-stack height below the tree edge
+        work = [(root, 0, iter(adj[root]), 0)]
         while work:
-            u, parent, i = work.pop()
-            if i < len(adj[u]):
-                work.append((u, parent, i + 1))
-                w = adj[u][i]
+            u, parent, nbrs, base = work[-1]
+            for w in nbrs:
                 if w == parent:
                     continue
                 if not disc[w]:
-                    e = (u, w) if u < w else (w, u)
-                    edge_stack.append(e)
+                    work.append((w, u, iter(adj[w]), len(edge_stack)))
+                    edge_stack.append((u, w) if u < w else (w, u))
                     disc[w] = low[w] = timer
                     timer += 1
-                    if u == root:
-                        root_children += 1
-                    work.append((w, u, 0))
-                elif disc[w] < disc[u]:
+                    comp.append(w)
+                    break
+                if disc[w] < disc[u]:
                     edge_stack.append((u, w) if u < w else (w, u))
                     if disc[w] < low[u]:
                         low[u] = disc[w]
             else:
-                if parent:
-                    if low[u] < low[parent]:
-                        low[parent] = low[u]
-                    if low[u] >= disc[parent]:
-                        if parent != root:
-                            cuts.add(parent)
-                        e = (u, parent) if u < parent else (parent, u)
-                        blk = set()
-                        while True:
-                            f = edge_stack.pop()
-                            blk.add(f)
-                            if f == e:
-                                break
-                        blocks.append(frozenset(blk))
+                work.pop()
+                if not parent:
+                    continue
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] >= disc[parent]:
+                    # the tree edge parent-u and everything above it form a block
+                    if parent == root:
+                        root_children += 1
+                    else:
+                        cuts.add(parent)
+                    blocks.append(frozenset(edge_stack[base:]))
+                    del edge_stack[base:]
         if root_children > 1:
             cuts.add(root)
+        comp.sort()
+        comps.append(tuple(comp))
     blocks.sort(key=min)
+    return comps, blocks, cuts
+
+
+def blocks_and_cut_vertices(g: Graph) -> tuple[list[frozenset[Edge]], set[int]]:
+    """Biconnected components (as edge sets) and cut vertices, Hopcroft-Tarjan.
+
+    Isolated vertices belong to no block. Bridges form single-edge blocks.
+    Blocks are returned sorted by their smallest edge for determinism.
+    """
+    _, blocks, cuts = _hopcroft_tarjan(g)
     return blocks, cuts
 
 
 def is_two_connected(g: Graph) -> bool:
     """True when g is connected with no cut vertex and n >= 2 (K_2 counts)."""
-    if g.n < 2 or not is_connected(g):
+    if g.n < 2:
         return False
-    return not blocks_and_cut_vertices(g)[1]
+    comps, blocks, _ = _hopcroft_tarjan(g)
+    return len(comps) == 1 and len(blocks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,23 @@
 A 2-connected graph on n >= 3 vertices is outerplanar exactly when it has a
 Hamiltonian cycle whose remaining edges, the chords, pairwise do not cross.
 That cycle is then unique, and the chords cut the polygon into bounded faces.
-Recognition builds this certificate in one O(n log n) pass per block (Mitchell
-1979): peel degree-2 vertices, bridging their two neighbors, down to a
-triangle; reinsert them in reverse to obtain the candidate cycle; accept only
-if every cycle edge is an edge of the block and no two chords cross. Each
-bounded face F contributes its boundary length as the degree of the
+Recognition, _structure, builds this certificate in one O(n log n) pass per
+block (Mitchell 1979); there is no other recogniser:
+- peel degree-2 vertices, bridging their two neighbors, down to a triangle,
+  and reinsert them in reverse to obtain the candidate cycle;
+- accept it only if every cycle edge is an edge of the block;
+- sweep the cycle with a stack of open chords, which rejects crossing
+  chords and yields each bounded face's boundary and outer-edge count.
+
+Each bounded face F contributes its boundary length as the degree of the
 corresponding extended-weak-dual vertex, and the volume of the block is
 
     2^(n - |faces| - 1) * product of face boundary lengths.
+
+_block_value multiplies the sweep's numbers directly, for the planner,
+is_outerplanar and nvol_outerplanar alike; only outer_structure
+builds the canonical rotation and Face objects. OuterStructure.validate,
+OuterStructure.serialize and ewd_degrees are the test oracle's surface.
 
 The value is conjectural when some bounded face has no edge on the outer
 cycle; callers receive that flag and must not treat the number as proven.
@@ -60,6 +69,11 @@ class OuterStructure:
     faces: tuple[Face, ...]
 
     def validate(self) -> None:
+        """Check the face counts and that no two chords cross, pairwise.
+
+        Test oracle: an O(chords^2) check apart from the recognition sweep;
+        the planner never builds an OuterStructure.
+        """
         n = len(self.outer_cycle)
         if len(self.faces) != len(self.chords) + 1:
             raise RuntimeError("face count must be chord count + 1")
@@ -75,6 +89,7 @@ class OuterStructure:
                 raise RuntimeError(f"chords {(a, b)} and {(c, d)} cross")
 
     def serialize(self) -> str:
+        """Cycle, chords and faces as text, one per line (test oracle)."""
         lines = ["outer-cycle: " + " ".join(str(v) for v in self.outer_cycle)]
         lines.append(
             "chords: " + (" ".join(f"{a}-{b}" for a, b in self.chords) or "(none)")
@@ -97,9 +112,10 @@ def _peel_cycle(block: Graph) -> list[int] | None:
     peel always reaches a triangle and the result is the outer cycle; None
     therefore means the block is not outerplanar. For other blocks a returned
     cycle may use non-edges or leave crossing chords, so the caller checks it.
+    The cycle starts at vertex 1.
     """
     n = block.n
-    adj = [set()] + [set(block.neighbors(v)) for v in range(1, n + 1)]
+    adj = [set(nbrs) for nbrs in block._adj]  # index 0 is empty
     ready = [v for v in range(1, n + 1) if len(adj[v]) == 2]
     peeled: list[tuple[int, int, int]] = []
     while n - len(peeled) > 3 and ready:
@@ -132,76 +148,66 @@ def _peel_cycle(block: Graph) -> list[int] | None:
     return cycle
 
 
-def _canonical_rotation(cycle: list[int]) -> tuple[int, ...]:
-    """Start at vertex 1 and walk toward its smaller cycle neighbor."""
-    if cycle[1] > cycle[-1]:
-        cycle = cycle[:1] + cycle[:0:-1]
-    return tuple(cycle)
-
-
-def _face_canonical(face: tuple[int, ...]) -> tuple[int, ...]:
-    i = face.index(min(face))
-    return face[i:] + face[:i]
-
-
-def _structure(block: Graph) -> OuterStructure | None:
-    """The recognition pass: outer structure of a 2-connected block, or None.
+def _structure(block: Graph) -> tuple[list[int], list[tuple[list[int], int]]] | None:
+    """The recognition pass: (outer cycle, bounded faces) of a 2-connected
+    block, or None when the block is not outerplanar.
 
     The block must have n >= 3 vertices. The peeled cycle is accepted only as
     a certificate: every cycle edge must be an edge of the block and no two
     chords may cross. Faces are traced in one sweep along the cycle with a
-    stack of open chords, which is also the crossing test: every chord that
-    closes at position p must be the innermost open one.
+    stack of open chords, which is also the crossing test: a chord may open
+    only inside the innermost open one. Each face is (positions, outer
+    edges): its boundary as ascending positions on the cycle, and how many
+    of its boundary edges lie on the cycle. Its length is len(positions).
     """
     n = block.n
     if block.m > 2 * n - 3:
         return None
-    peeled = _peel_cycle(block)
-    if peeled is None:
+    cycle = _peel_cycle(block)
+    if cycle is None:
         return None
-    cycle = _canonical_rotation(peeled)
     pos = [0] * (n + 1)
     for i, v in enumerate(cycle):
         pos[v] = i
-    cycle_edges = set()
-    for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
-        cycle_edges.add((a, b) if a < b else (b, a))
-    if not cycle_edges <= block.edges:
+    # an edge one step apart on the cycle is a cycle edge; the n cycle edges
+    # are all present exactly when n edges are
+    on_cycle = 0
+    spans = []
+    for a, b in block.edges:
+        i, j = pos[a], pos[b]
+        if i > j:
+            i, j = j, i
+        if j - i == 1 or j - i == n - 1:
+            on_cycle += 1
+        else:
+            spans.append((i, -j))
+    if on_cycle != n:
         return None
-    chords = tuple(sorted(block.edges - cycle_edges))
-
-    # chords as position intervals: count where they close, and open them
-    # outermost first so that each closes as the innermost open one
-    opens: list[list[int]] = [[] for _ in range(n)]
-    closes = [0] * n
-    for a, b in chords:
-        i, j = sorted((pos[a], pos[b]))
-        opens[i].append(j)
-        closes[j] += 1
-    regions: list[list[int]] = []
-    stack: list[tuple[int, list[int]]] = [(n, [])]  # (closing position, region)
+    # chords open outermost first, so each closes as the innermost open one
+    spans.sort()
+    spans.append((n, 0))  # sentinel: opens nothing
+    faces: list[tuple[list[int], int]] = []
+    # innermost open region: closing position, chords on its boundary, positions
+    top = [n, 0, []]
+    stack = [top]
+    k = 0
     for p in range(n):
-        stack[-1][1].append(p)
-        for _ in range(closes[p]):
-            end, region = stack.pop()
-            if end != p:
-                return None
-            regions.append(region)
-            stack[-1][1].append(p)
-        for j in sorted(opens[p], reverse=True):
-            stack.append((j, [p]))
-    regions.append(stack.pop()[1])
-
-    faces = []
-    for region in regions:
-        k = len(region)
-        outer = sum(region[t + 1] - region[t] == 1 for t in range(k - 1))
-        outer += region[-1] - region[0] == n - 1
-        verts = _face_canonical(tuple(cycle[q] for q in region))
-        faces.append(Face(vertices=verts, boundary_length=k, outer_edges=outer))
-    faces.sort(key=lambda f: f.vertices)
-    return OuterStructure(outer_cycle=cycle, chords=chords, faces=tuple(faces))
+        top[2].append(p)
+        while top[0] == p:
+            stack.pop()
+            faces.append((top[2], len(top[2]) - top[1]))
+            top = stack[-1]
+            top[1] += 1
+            top[2].append(p)
+        while spans[k][0] == p:
+            j = -spans[k][1]
+            if j > top[0]:
+                return None  # the chord crosses the innermost open one
+            top = [j, 1, [p]]  # its own chord closes the region
+            stack.append(top)
+            k += 1
+    faces.append((top[2], len(top[2]) - top[1]))
+    return cycle, faces
 
 
 def is_outerplanar(g: Graph) -> bool:
@@ -212,20 +218,44 @@ def is_outerplanar(g: Graph) -> bool:
     recognition pass builds that certificate in O(n log n) time or reports that
     none exists. Single-edge blocks are always outerplanar.
     """
-    return all(block.n < 3 or _structure(block) is not None for block in block_subgraphs(g))
+    return all(_block_value(block) is not None for block in block_subgraphs(g))
+
+
+def _face_canonical(face: tuple[int, ...]) -> tuple[int, ...]:
+    i = face.index(min(face))
+    return face[i:] + face[:i]
 
 
 def outer_structure(g: Graph) -> OuterStructure:
-    """Outer cycle, chords, and bounded faces of a 2-connected outerplanar graph."""
+    """Outer cycle, chords, and bounded faces of a 2-connected outerplanar graph.
+
+    The cycle starts at vertex 1 and walks toward its smaller cycle
+    neighbor; each face starts at its smallest vertex and follows the same
+    direction, and faces are sorted by their vertex tuples.
+    """
     if g.n < 3 or not is_two_connected(g):
         raise NotTwoConnectedError(
             f"outer structure needs a 2-connected graph on >= 3 vertices, got "
             f"n={g.n}, m={g.m}"
         )
-    structure = _structure(g)
-    if structure is None:
+    found = _structure(g)
+    if found is None:
         raise NotOuterplanarError("graph contains a K_4 or K_{2,3} subdivision")
-    return structure
+    cycle, regions = found
+    turn = cycle[1] > cycle[-1]  # walk the other way round
+    cycle_edges = {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(g.n)}
+    faces = []
+    for positions, outer in regions:
+        verts = tuple(cycle[q] for q in positions)
+        if turn:
+            verts = verts[::-1]
+        faces.append(Face(_face_canonical(verts), len(positions), outer))
+    faces.sort(key=lambda f: f.vertices)
+    return OuterStructure(
+        outer_cycle=tuple(cycle[:1] + cycle[:0:-1] if turn else cycle),
+        chords=tuple(sorted(g.edges - cycle_edges)),
+        faces=tuple(faces),
+    )
 
 
 def ewd_degrees(s: OuterStructure) -> list[int]:
@@ -233,23 +263,33 @@ def ewd_degrees(s: OuterStructure) -> list[int]:
 
     Every boundary edge of a face contributes one ewd neighbor: the bounded
     face across a chord, or the pendant leaf attached across an outer edge.
-    The degree therefore equals the boundary length.
+    The degree therefore equals the boundary length. Test oracle: the
+    planner multiplies the lengths in _block_value and does not call this.
     """
     return [f.boundary_length for f in s.faces]
 
 
 def _block_value(block: Graph) -> tuple[int, bool] | None:
     """Face-product value and conjectural flag of a block, or None if the
-    block is not outerplanar."""
+    block is not outerplanar.
+
+    The value is 2^(n - |faces| - 1) times the faces' boundary lengths, read
+    straight off the recognition sweep; it is conjectural when some face
+    has no outer edge. The planner, nvol_outerplanar and is_outerplanar
+    all come here; no OuterStructure is built.
+    """
     if block.n == 2:
         return 2, False
-    s = _structure(block)
-    if s is None:
+    found = _structure(block)
+    if found is None:
         return None
-    value = 1 << (block.n - len(s.faces) - 1)
-    for d in ewd_degrees(s):
-        value *= d
-    conjectural = any(f.outer_edges == 0 for f in s.faces)
+    faces = found[1]
+    value = 1 << (block.n - len(faces) - 1)
+    conjectural = False
+    for positions, outer in faces:
+        value *= len(positions)
+        if not outer:
+            conjectural = True
     return value, conjectural
 
 

@@ -39,10 +39,9 @@ from .graphs import (
     Edge,
     Graph,
     _fingerprint,
+    _hopcroft_tarjan,
     block_subgraphs,
-    blocks_and_cut_vertices,
     build_double,
-    connected_components,
     delete_edge,
     from_edge_list,
     induced_subgraph,
@@ -520,8 +519,12 @@ def clear_memo() -> None:
     _MEMO.clear()
 
 
+# The matchers and the reverse-move scan read g._adj, g's neighbour tuples,
+# directly: their vertices are in range, so neighbors() need not check them.
+
+
 def _match_cycle(g: Graph) -> bool:
-    return g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(1, g.n + 1))
+    return g.n >= 3 and g.m == g.n and all(len(nbrs) == 2 for nbrs in g._adj[1:])
 
 
 def _match_complete_minus_matching(g: Graph) -> int | None:
@@ -530,7 +533,7 @@ def _match_complete_minus_matching(g: Graph) -> int | None:
     The missing edges form a matching exactly when no vertex misses two of
     its possible neighbors, that is when every degree is at least n - 2.
     """
-    if g.n <= 2 or any(g.degree(v) < g.n - 2 for v in range(1, g.n + 1)):
+    if g.n <= 2 or any(len(nbrs) < g.n - 2 for nbrs in g._adj[1:]):
         return None
     return comb(g.n, 2) - g.m
 
@@ -538,14 +541,15 @@ def _match_complete_minus_matching(g: Graph) -> int | None:
 def _match_k2m(g: Graph) -> bool:
     if g.n < 4 or g.m != 2 * (g.n - 2):
         return False
-    hubs = [v for v in range(1, g.n + 1) if g.degree(v) == g.n - 2]
+    adj = g._adj
+    hubs = [v for v in range(1, g.n + 1) if len(adj[v]) == g.n - 2]
     if len(hubs) != 2 or g.has_edge(*hubs):
         return False
     hub_set = set(hubs)
     for v in range(1, g.n + 1):
         if v in hub_set:
             continue
-        if g.degree(v) != 2 or set(g.neighbors(v)) != hub_set:
+        if len(adj[v]) != 2 or set(adj[v]) != hub_set:
             return False
     return True
 
@@ -553,10 +557,11 @@ def _match_k2m(g: Graph) -> bool:
 def _thread_walk(g: Graph, x: int, nxt: int) -> tuple[list[int], int]:
     """Degree-2 vertices met walking from x through nxt, and the vertex that
     ends the walk: the first one of another degree, or x itself on a cycle."""
+    adj = g._adj
     inner, prev = [], x
-    while nxt != x and g.degree(nxt) == 2:
+    while nxt != x and len(adj[nxt]) == 2:
         inner.append(nxt)
-        p, q = g.neighbors(nxt)
+        p, q = adj[nxt]
         prev, nxt = nxt, q if p == prev else p
     return inner, nxt
 
@@ -596,18 +601,19 @@ def _reverse_move(g: Graph):
     None when no vertex qualifies. On a cycle block the walk returns to x
     and the result is None too; closed-form:cycle fires before this anyway.
     """
+    adj = g._adj
     ear = None
     for x in range(1, g.n + 1):
-        if g.degree(x) != 2:
+        if len(adj[x]) != 2:
             continue
-        v, w = g.neighbors(x)
+        v, w = adj[x]
         if g.has_edge(v, w):
-            if g.degree(v) == 3 or g.degree(w) == 3:
+            if len(adj[v]) == 3 or len(adj[w]) == 3:
                 rest = [u for u in range(1, g.n + 1) if u != x]
                 return "reverse-triangle", f"x={x}", None, (induced_subgraph(g, rest),)
             if ear is None:
                 ear = x, v, w
-        elif g.degree(v) == 2 or g.degree(w) == 2:
+        elif len(adj[v]) == 2 or len(adj[w]) == 2:
             left, a = _thread_walk(g, x, v)
             if a == x:
                 return None
@@ -633,17 +639,19 @@ def _step(g: Graph, oracle: bool, workers: int):
     value from _combine over its children's values and k, the thread length
     of a reverse-subdivision step (None for every other rule). In oracle
     mode the step stops after the component split and enumerates.
+
+    The components and blocks come from one Hopcroft-Tarjan walk, and an
+    outerplanar block is recognised and valued in one sweep
+    (outerplanar._block_value), so a step makes one connectivity walk.
     """
-    comps = connected_components(g)
+    comps, blocks, _ = _hopcroft_tarjan(g)
     if len(comps) > 1:
         return "component-product", "", None, [induced_subgraph(g, c) for c in comps], None
     if oracle:
         return "enumeration", "", None, (), draconian.count(g, workers=workers)
     if g.n == 1:
         return "closed-form:vertex", "", None, (), 1
-
-    # one block pass; a single block is g itself, so no copy of it is built
-    blocks, _ = blocks_and_cut_vertices(g)
+    # a single block is g itself, so no copy of it is built
     if len(blocks) > 1:
         return "block-product", "", None, block_subgraphs(g, blocks), None
 

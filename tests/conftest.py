@@ -25,6 +25,12 @@ def graph_to_nx(g: Graph) -> nx.Graph:
     return nxg
 
 
+def catalog(n_max: int) -> list[Graph]:
+    """One representative per isomorphism class of graphs, 1 <= n <= n_max <= 7,
+    disconnected ones and isolated vertices included."""
+    return [nx_to_graph(nxg) for nxg in nx.graph_atlas_g() if 0 < nxg.number_of_nodes() <= n_max]
+
+
 def connected_catalog(n_max: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs, n <= n_max <= 7."""
     out = []

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pqvol.draconian import check_subset
 from pqvol.graphs import (
     BipartiteDouble,
     Graph,
+    _hopcroft_tarjan,
     add_edge,
     block_subgraphs,
     blocks_and_cut_vertices,
@@ -28,6 +31,8 @@ from pqvol.graphs import (
     triangle_join,
     write_edge_list,
 )
+
+from conftest import catalog
 
 
 def test_edge_normalization():
@@ -147,6 +152,76 @@ def test_blocks_on_path_are_single_edges():
     blocks, cuts = blocks_and_cut_vertices(generate("path", 4))
     assert sorted(sorted(b) for b in blocks) == [[(1, 2)], [(2, 3)], [(3, 4)]]
     assert cuts == {2, 3}
+
+
+def _labels_without(g, x):
+    """Component label of each vertex of g - x (x = 0 removes nothing), by a
+    plain union-find over the edges."""
+    parent = list(range(g.n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, w in g.edges:
+        if x not in (u, w):
+            parent[find(u)] = find(w)
+    return [find(v) for v in range(g.n + 1)]
+
+
+def _brute_force_blocks(g):
+    """Blocks and cut vertices of g by brute force.
+
+    x is a cut vertex when g - x has more components than g. Two edges share a
+    block when, for every vertex x, their ends other than x lie in one
+    component of g - x: a cut vertex between two blocks separates them.
+    """
+    labels = [_labels_without(g, x) for x in range(g.n + 1)]
+
+    def count(x):
+        return len({labels[x][v] for v in range(1, g.n + 1) if v != x})
+
+    cuts = {x for x in range(1, g.n + 1) if count(x) > count(0)}
+    edges = sorted(g.edges)
+    blocks = []
+    for e in edges:
+        for blk in blocks:
+            f = min(blk)
+            if all(len({labels[x][v] for v in (*e, *f) if v != x}) == 1 for x in range(g.n + 1)):
+                blk.add(e)
+                break
+        else:
+            blocks.append({e})
+    return sorted(map(frozenset, blocks), key=min), cuts
+
+
+def _walk_inputs():
+    rng = random.Random(2027)
+    graphs = list(catalog(6))
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        p = rng.uniform(0.05, 0.5)
+        graphs.append(from_edge_list(n, [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p
+        ]))
+    return graphs
+
+
+def test_walk_matches_components_and_brute_force_blocks():
+    inputs = _walk_inputs()
+    assert len(inputs) == 208 + 200
+    assert any(g.n == 1 for g in inputs)
+    kinds = set()
+    for g in inputs:
+        comps, blocks, cuts = _hopcroft_tarjan(g)
+        assert comps == connected_components(g), g.sorted_edges
+        assert (blocks, cuts) == _brute_force_blocks(g), g.sorted_edges
+        assert (blocks, cuts) == blocks_and_cut_vertices(g)
+        assert is_two_connected(g) == (g.n >= 2 and len(comps) == 1 and len(blocks) == 1)
+        kinds.add((len(comps) > 1, bool(cuts), any(len(c) == 1 for c in comps)))
+    # disconnected, separable and isolated-vertex graphs are all covered
+    assert {(True, True, True), (False, True, False), (False, False, False)} <= kinds
 
 
 def test_is_two_connected():

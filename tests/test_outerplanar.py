@@ -17,6 +17,7 @@ from pqvol.graphs import (
 from pqvol.outerplanar import (
     NotOuterplanarError,
     NotTwoConnectedError,
+    _block_value,
     ewd_degrees,
     is_outerplanar,
     nvol_outerplanar,
@@ -216,3 +217,56 @@ def test_formula_matches_oracle_on_random_samples(rng):
 def test_nvol_outerplanar_rejects_non_outerplanar_input():
     with pytest.raises(NotOuterplanarError):
         nvol_outerplanar(generate("wheel", 5))
+
+
+def _value_from_structure(g):
+    """_block_value recomputed from outer_structure's Face objects, or None.
+
+    Each face's outer edges are also recounted from its vertices: the
+    consecutive pairs that are neighbours on the outer cycle.
+    """
+    try:
+        s = outer_structure(g)
+    except NotOuterplanarError:
+        return None
+    cyc = s.outer_cycle
+    on_cycle = {frozenset((cyc[i - 1], cyc[i])) for i in range(g.n)}
+    value = 2 ** (g.n - len(s.faces) - 1)
+    for f in s.faces:
+        vs = f.vertices
+        assert f.boundary_length == len(vs)
+        outer = sum(frozenset((vs[i - 1], vs[i])) in on_cycle for i in range(len(vs)))
+        assert f.outer_edges == outer
+        value *= f.boundary_length
+    return value, any(f.outer_edges == 0 for f in s.faces)
+
+
+def test_block_value_matches_outer_structure():
+    blocks = [g for g in connected_catalog(7) if g.n >= 3 and is_two_connected(g)]
+    rng = random.Random(6060)
+    blocks += [
+        generate("random_outerplanar", n, seed=rng.getrandbits(63))
+        for n in range(6, 61) for _ in range(4)
+    ]
+    named = [
+        generate("complete", 4),
+        generate("complete_bipartite", 2, 3),
+        generate("wheel", 5),
+        generate("wheel", 8),
+        # the triangular and pentagonal prisms
+        from_edge_list(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]),
+        from_edge_list(10, [*generate("cycle", 5).edges,
+                            *((u + 5, v + 5) for u, v in generate("cycle", 5).edges),
+                            *((i, i + 5) for i in range(1, 6))]),
+    ]
+    outcomes = {"rejected": 0, "interior": 0, "all outer": 0}
+    for g in blocks + named:
+        expected = _value_from_structure(g)
+        assert _block_value(g) == expected, g.sorted_edges
+        if expected is None:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["interior" if expected[1] else "all outer"] += 1
+    assert all(_block_value(g) is None for g in named)
+    assert min(outcomes.values()) >= 6, outcomes
+    assert _block_value(generate("path", 2)) == (2, False)

@@ -519,6 +519,47 @@ def test_thread_chain_plans_in_a_few_steps(monkeypatch):
     assert res.value == replay_trace(res.trace) == (58 + 599 * 18) << 599
 
 
+def test_plan_walks_each_step_once(monkeypatch):
+    # one Hopcroft-Tarjan walk per planner step gives both the component and
+    # the block split; the BFS of connected_components is never run
+    from pqvol import graphs
+
+    steps, walks = [], []
+    real_step, real_walk = recurrence._step, recurrence._hopcroft_tarjan
+
+    def counted_step(g, *args):
+        steps.append(g.n)
+        return real_step(g, *args)
+
+    def counted_walk(g):
+        walks.append(g.n)
+        return real_walk(g)
+
+    def no_bfs(g):
+        raise AssertionError("the planner ran connected_components")
+
+    monkeypatch.setattr(recurrence, "_step", counted_step)
+    monkeypatch.setattr(recurrence, "_hopcroft_tarjan", counted_walk)
+    monkeypatch.setattr(graphs, "connected_components", no_bfs)
+    monkeypatch.setattr(recurrence, "connected_components", no_bfs, raising=False)
+    glued = from_edge_list(7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7)])
+    inputs = [
+        disjoint_union(glued, THREE_SUN),
+        generate("random_outerplanar", 40, seed=7),
+        generate("complete_bipartite", 2, 5),
+        generate("complete", 1),
+    ]
+    rules = set()
+    clear_memo()
+    for g in inputs:
+        res = nvol(g)
+        rules |= {row["rule"] for row in trace_rows(res.trace)}
+    assert walks == steps and len(steps) > 20
+    assert {"component-product", "block-product", "reverse-ear", "reverse-subdivision",
+            "outerplanar-formula", "closed-form:vertex"} <= rules
+    assert "enumeration" not in rules  # draconian.count checks connectivity itself
+
+
 def test_reverse_move_walk_stops_on_a_cycle():
     # closed-form:cycle fires first in the planner; the walk must end anyway
     assert recurrence._reverse_move(generate("cycle", 7)) is None
