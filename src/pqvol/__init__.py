@@ -27,12 +27,8 @@ from .graphs import (
 )
 from .outerplanar import (
     NotOuterplanarError,
-    NotTwoConnectedError,
-    OuterStructure,
-    ewd_degrees,
     is_outerplanar,
     nvol_outerplanar,
-    outer_structure,
 )
 from .recurrence import (
     BijectionWitness,
@@ -59,8 +55,6 @@ __all__ = [
     "Graph",
     "IdentityCheck",
     "NotOuterplanarError",
-    "NotTwoConnectedError",
-    "OuterStructure",
     "ResourceCapExceeded",
     "VolumeResult",
     "build_double",
@@ -69,7 +63,6 @@ __all__ = [
     "count",
     "edge_step",
     "enumerate_draconian",
-    "ewd_degrees",
     "from_edge_list",
     "generate",
     "graph_fingerprint",
@@ -80,7 +73,6 @@ __all__ = [
     "nvol_forest",
     "nvol_k2m",
     "nvol_outerplanar",
-    "outer_structure",
     "read_edge_list",
     "stirling_identity_check",
     "subdivision_step",

@@ -282,40 +282,18 @@ def generate(family: str, *params: int, seed: int | None = None) -> Graph:
 # connectivity and block structure
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of the connected components, each ascending, ordered by minimum."""
-    adj = g._adj
-    seen = [False] * (g.n + 1)
-    comps: list[tuple[int, ...]] = []
-    for start in range(1, g.n + 1):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(_hopcroft_tarjan(g)[0]) == 1
 
 
 def _hopcroft_tarjan(g: Graph) -> tuple[list[tuple[int, ...]], list[frozenset[Edge]], set[int]]:
     """Components, blocks and cut vertices of g from one Hopcroft-Tarjan walk.
 
     Components are the vertex sets of the DFS trees, rooted in ascending
-    label order, so they come out as connected_components gives them: each
-    ascending, ordered by minimum, an isolated vertex on its own. Blocks are
-    edge sets sorted by their smallest edge; isolated vertices belong to no
-    block, and a bridge is a single-edge block.
+    label order: each ascending, ordered by minimum, an isolated vertex on
+    its own. This is the only component finder. Blocks are edge sets sorted
+    by their smallest edge; isolated vertices belong to no block, and a
+    bridge is a single-edge block.
     """
     adj = g._adj
     disc = [0] * (g.n + 1)  # 0 means unvisited; discovery times start at 1
@@ -421,9 +399,9 @@ def _relabelled(edges: Iterable[Edge], keep: list[int]) -> Graph:
 def block_subgraphs(g: Graph, blocks: list[frozenset[Edge]] | None = None) -> list[Graph]:
     """Each block as its own graph, vertices relabeled 1..k order-preserving.
 
-    Ordering follows blocks_and_cut_vertices, which sorts blocks by edge set,
-    so the result is deterministic. A caller that already holds g's blocks
-    from blocks_and_cut_vertices passes them, and the pass is not repeated.
+    Blocks come in _hopcroft_tarjan's order, sorted by smallest edge, so the
+    result is deterministic. A caller that already holds g's blocks from that
+    walk, as the planner does, passes them, and the walk is not repeated.
     """
     if blocks is None:
         blocks, _ = blocks_and_cut_vertices(g)

@@ -17,9 +17,8 @@ corresponding extended-weak-dual vertex, and the volume of the block is
     2^(n - |faces| - 1) * product of face boundary lengths.
 
 _block_value multiplies the sweep's numbers directly, for the planner,
-is_outerplanar and nvol_outerplanar alike; only outer_structure
-builds the canonical rotation and Face objects. OuterStructure.validate,
-OuterStructure.serialize and ewd_degrees are the test oracle's surface.
+is_outerplanar and nvol_outerplanar alike; in the package _structure has
+no other caller.
 
 The value is conjectural when some bounded face has no edge on the outer
 cycle; callers receive that flag and must not treat the number as proven.
@@ -27,79 +26,17 @@ cycle; callers receive that flag and must not treat the number as proven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-
-from .graphs import Graph, block_subgraphs, is_two_connected
+from .graphs import Graph, block_subgraphs
 
 __all__ = [
-    "Face",
     "NotOuterplanarError",
-    "NotTwoConnectedError",
-    "OuterStructure",
-    "ewd_degrees",
     "is_outerplanar",
     "nvol_outerplanar",
-    "outer_structure",
 ]
-
-class NotTwoConnectedError(ValueError):
-    """The operation requires a 2-connected input."""
 
 
 class NotOuterplanarError(ValueError):
     """The operation requires an outerplanar input."""
-
-
-@dataclass(frozen=True)
-class Face:
-    """A bounded face: its boundary cycle, length, and outer-edge count."""
-
-    vertices: tuple[int, ...]
-    boundary_length: int
-    outer_edges: int
-
-
-@dataclass(frozen=True)
-class OuterStructure:
-    """Outer cycle, chords, and bounded faces of a 2-connected block."""
-
-    outer_cycle: tuple[int, ...]
-    chords: tuple[tuple[int, int], ...]
-    faces: tuple[Face, ...]
-
-    def validate(self) -> None:
-        """Check the face counts and that no two chords cross, pairwise.
-
-        Test oracle: an O(chords^2) check apart from the recognition sweep;
-        the planner never builds an OuterStructure.
-        """
-        n = len(self.outer_cycle)
-        if len(self.faces) != len(self.chords) + 1:
-            raise RuntimeError("face count must be chord count + 1")
-        if sum(f.outer_edges for f in self.faces) != n:
-            raise RuntimeError("outer edges must partition across faces")
-        if sum(f.boundary_length for f in self.faces) != n + 2 * len(self.chords):
-            raise RuntimeError("boundary lengths must cover cycle and chords twice")
-        pos = {v: i for i, v in enumerate(self.outer_cycle)}
-        for (a, b), (c, d) in combinations(self.chords, 2):
-            pa, pb = sorted((pos[a], pos[b]))
-            pc, pd = sorted((pos[c], pos[d]))
-            if (pa < pc < pb < pd) or (pc < pa < pd < pb):
-                raise RuntimeError(f"chords {(a, b)} and {(c, d)} cross")
-
-    def serialize(self) -> str:
-        """Cycle, chords and faces as text, one per line (test oracle)."""
-        lines = ["outer-cycle: " + " ".join(str(v) for v in self.outer_cycle)]
-        lines.append(
-            "chords: " + (" ".join(f"{a}-{b}" for a, b in self.chords) or "(none)")
-        )
-        for f in self.faces:
-            verts = " ".join(str(v) for v in f.vertices)
-            lines.append(
-                f"face: vertices={verts} length={f.boundary_length} outer={f.outer_edges}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _peel_cycle(block: Graph) -> list[int] | None:
@@ -154,7 +91,7 @@ def _structure(block: Graph) -> tuple[list[int], list[tuple[list[int], int]]] | 
 
     The block must have n >= 3 vertices. The peeled cycle is accepted only as
     a certificate: every cycle edge must be an edge of the block and no two
-    chords may cross. Faces are traced in one sweep along the cycle with a
+    chords may cross. The faces are traced in one sweep along the cycle with a
     stack of open chords, which is also the crossing test: a chord may open
     only inside the innermost open one. Each face is (positions, outer
     edges): its boundary as ascending positions on the cycle, and how many
@@ -221,62 +158,14 @@ def is_outerplanar(g: Graph) -> bool:
     return all(_block_value(block) is not None for block in block_subgraphs(g))
 
 
-def _face_canonical(face: tuple[int, ...]) -> tuple[int, ...]:
-    i = face.index(min(face))
-    return face[i:] + face[:i]
-
-
-def outer_structure(g: Graph) -> OuterStructure:
-    """Outer cycle, chords, and bounded faces of a 2-connected outerplanar graph.
-
-    The cycle starts at vertex 1 and walks toward its smaller cycle
-    neighbor; each face starts at its smallest vertex and follows the same
-    direction, and faces are sorted by their vertex tuples.
-    """
-    if g.n < 3 or not is_two_connected(g):
-        raise NotTwoConnectedError(
-            f"outer structure needs a 2-connected graph on >= 3 vertices, got "
-            f"n={g.n}, m={g.m}"
-        )
-    found = _structure(g)
-    if found is None:
-        raise NotOuterplanarError("graph contains a K_4 or K_{2,3} subdivision")
-    cycle, regions = found
-    turn = cycle[1] > cycle[-1]  # walk the other way round
-    cycle_edges = {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(g.n)}
-    faces = []
-    for positions, outer in regions:
-        verts = tuple(cycle[q] for q in positions)
-        if turn:
-            verts = verts[::-1]
-        faces.append(Face(_face_canonical(verts), len(positions), outer))
-    faces.sort(key=lambda f: f.vertices)
-    return OuterStructure(
-        outer_cycle=tuple(cycle[:1] + cycle[:0:-1] if turn else cycle),
-        chords=tuple(sorted(g.edges - cycle_edges)),
-        faces=tuple(faces),
-    )
-
-
-def ewd_degrees(s: OuterStructure) -> list[int]:
-    """Extended-weak-dual degree of each bounded face's vertex.
-
-    Every boundary edge of a face contributes one ewd neighbor: the bounded
-    face across a chord, or the pendant leaf attached across an outer edge.
-    The degree therefore equals the boundary length. Test oracle: the
-    planner multiplies the lengths in _block_value and does not call this.
-    """
-    return [f.boundary_length for f in s.faces]
-
-
 def _block_value(block: Graph) -> tuple[int, bool] | None:
-    """Face-product value and conjectural flag of a block, or None if the
-    block is not outerplanar.
+    """Value by the face product and conjectural flag of a block, or None if
+    the block is not outerplanar.
 
     The value is 2^(n - |faces| - 1) times the faces' boundary lengths, read
     straight off the recognition sweep; it is conjectural when some face
     has no outer edge. The planner, nvol_outerplanar and is_outerplanar
-    all come here; no OuterStructure is built.
+    all come here.
     """
     if block.n == 2:
         return 2, False

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from pqvol.draconian import check_subset
@@ -13,7 +14,6 @@ from pqvol.graphs import (
     block_subgraphs,
     blocks_and_cut_vertices,
     build_double,
-    connected_components,
     delete_edge,
     disjoint_union,
     format_edge_list,
@@ -32,7 +32,7 @@ from pqvol.graphs import (
     write_edge_list,
 )
 
-from conftest import catalog
+from conftest import catalog, graph_to_nx
 
 
 def test_edge_normalization():
@@ -135,9 +135,10 @@ def test_random_outerplanar_is_two_connected():
 
 def test_connected_components():
     g = disjoint_union(generate("path", 3), generate("cycle", 3))
-    assert connected_components(g) == [(1, 2, 3), (4, 5, 6)]
+    assert _hopcroft_tarjan(g)[0] == [(1, 2, 3), (4, 5, 6)]
     assert not is_connected(g)
-    assert connected_components(from_edge_list(1, [])) == [(1,)]
+    assert _hopcroft_tarjan(from_edge_list(1, []))[0] == [(1,)]
+    assert is_connected(from_edge_list(1, []))
 
 
 def test_blocks_and_cut_vertices_bowtie():
@@ -215,7 +216,10 @@ def test_walk_matches_components_and_brute_force_blocks():
     kinds = set()
     for g in inputs:
         comps, blocks, cuts = _hopcroft_tarjan(g)
-        assert comps == connected_components(g), g.sorted_edges
+        nxg = graph_to_nx(g)
+        nx_comps = sorted((tuple(sorted(c)) for c in nx.connected_components(nxg)), key=min)
+        assert comps == nx_comps, g.sorted_edges
+        assert is_connected(g) == nx.is_connected(nxg), g.sorted_edges
         assert (blocks, cuts) == _brute_force_blocks(g), g.sorted_edges
         assert (blocks, cuts) == blocks_and_cut_vertices(g)
         assert is_two_connected(g) == (g.n >= 2 and len(comps) == 1 and len(blocks) == 1)

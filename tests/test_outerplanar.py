@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -16,12 +17,10 @@ from pqvol.graphs import (
 )
 from pqvol.outerplanar import (
     NotOuterplanarError,
-    NotTwoConnectedError,
     _block_value,
-    ewd_degrees,
+    _structure,
     is_outerplanar,
     nvol_outerplanar,
-    outer_structure,
 )
 from pqvol.recurrence import nvol, nvol_cycle
 
@@ -99,10 +98,8 @@ def test_recognition_has_no_size_cap():
 
     n = 1500
     fan = from_edge_list(n, [*generate("cycle", n).edges, *((1, k) for k in range(3, n))])
-    s = outer_structure(fan)
-    assert s.outer_cycle == tuple(range(1, n + 1))
-    assert len(s.chords) == n - 3
-    assert ewd_degrees(s) == [3] * (n - 2)
+    # n - 2 triangles: 2^(n - (n - 2) - 1) * 3^(n - 2)
+    assert _block_value(fan) == (2 * 3 ** (n - 2), False)
 
     g = generate("random_outerplanar", 600, seed=3)
     result = nvol(g)
@@ -111,49 +108,54 @@ def test_recognition_has_no_size_cap():
     assert (result.value, False) == nvol_outerplanar(g)
 
 
-def test_outer_structure_requires_two_connected():
-    with pytest.raises(NotTwoConnectedError):
-        outer_structure(generate("path", 4))
-    with pytest.raises(NotTwoConnectedError):
-        outer_structure(generate("path", 2))
+def _structure_edges(found):
+    """The edges that _structure's outer cycle and faces describe, and the
+    number of chords, after checking pairwise that no two chords cross.
+
+    Test-side oracle, apart from the sweep's stack of open chords: each
+    face's boundary steps between consecutive positions, wrapping round; a
+    step to a neighbouring position on the cycle is a cycle edge, any other
+    step a chord, and O(chords^2) comparisons look for a crossing pair.
+    """
+    cycle, faces = found
+    n = len(cycle)
+    steps = set()
+    for positions, _ in faces:
+        for i in range(len(positions)):
+            steps.add(tuple(sorted((positions[i - 1], positions[i]))))
+    chords = [(p, q) for p, q in steps if q - p not in (1, n - 1)]
+    for (a, b), (c, d) in itertools.combinations(chords, 2):
+        assert not (a < c < b < d or c < a < d < b), ((a, b), (c, d))
+    return {tuple(sorted((cycle[p], cycle[q]))) for p, q in steps}, len(chords)
 
 
 def test_outer_structure_rejects_non_outerplanar():
-    with pytest.raises(NotOuterplanarError):
-        outer_structure(generate("complete", 4))
+    assert _structure(generate("complete", 4)) is None
+    assert _block_value(generate("complete", 4)) is None
 
 
-def test_outer_structure_golden_serialization():
-    s = outer_structure(add_edge(generate("cycle", 5), (1, 3)))
-    assert s.serialize() == (
-        "outer-cycle: 1 2 3 4 5\n"
-        "chords: 1-3\n"
-        "face: vertices=1 2 3 length=3 outer=2\n"
-        "face: vertices=1 3 4 5 length=4 outer=3\n"
+def test_outer_structure_golden_positions():
+    assert _structure(add_edge(generate("cycle", 5), (1, 3))) == (
+        [1, 2, 3, 4, 5],
+        [([0, 1, 2], 2), ([0, 2, 3, 4], 3)],
     )
-    assert ewd_degrees(s) == [3, 4]
 
 
 def test_outer_structure_on_plain_cycle():
-    s = outer_structure(generate("cycle", 6))
-    assert s.outer_cycle == (1, 2, 3, 4, 5, 6)
-    assert s.chords == ()
-    assert ewd_degrees(s) == [6]
+    assert _structure(generate("cycle", 6)) == ([1, 2, 3, 4, 5, 6], [([0, 1, 2, 3, 4, 5], 6)])
 
 
 def test_outer_structure_invariants_on_random_samples(rng):
     for _ in range(25):
         n = rng.randint(3, 10)
         g = generate("random_outerplanar", n, seed=rng.getrandbits(63))
-        s = outer_structure(g)
-        s.validate()
-        assert len(s.faces) == len(s.chords) + 1
-        assert sum(f.outer_edges for f in s.faces) == n
-        assert sum(f.boundary_length for f in s.faces) == n + 2 * len(s.chords)
+        cycle, faces = found = _structure(g)
+        assert sorted(cycle) == list(range(1, n + 1))
+        edges, chords = _structure_edges(found)
+        assert len(faces) == chords + 1
+        assert sum(outer for _, outer in faces) == n
+        assert sum(len(positions) for positions, _ in faces) == n + 2 * chords
         # structure edges reproduce the input graph exactly
-        cyc = s.outer_cycle
-        edges = {tuple(sorted((cyc[i], cyc[(i + 1) % n]))) for i in range(n)}
-        edges.update(tuple(sorted(c)) for c in s.chords)
         assert edges == set(g.sorted_edges)
 
 
@@ -220,25 +222,22 @@ def test_nvol_outerplanar_rejects_non_outerplanar_input():
 
 
 def _value_from_structure(g):
-    """_block_value recomputed from outer_structure's Face objects, or None.
+    """_block_value recomputed from _structure's raw positions, or None.
 
-    Each face's outer edges are also recounted from its vertices: the
-    consecutive pairs that are neighbours on the outer cycle.
+    Each face's outer edges are also recounted from its positions: the
+    consecutive pairs, wrapping round, that are neighbours on the cycle.
     """
-    try:
-        s = outer_structure(g)
-    except NotOuterplanarError:
+    found = _structure(g)
+    if found is None:
         return None
-    cyc = s.outer_cycle
-    on_cycle = {frozenset((cyc[i - 1], cyc[i])) for i in range(g.n)}
-    value = 2 ** (g.n - len(s.faces) - 1)
-    for f in s.faces:
-        vs = f.vertices
-        assert f.boundary_length == len(vs)
-        outer = sum(frozenset((vs[i - 1], vs[i])) in on_cycle for i in range(len(vs)))
-        assert f.outer_edges == outer
-        value *= f.boundary_length
-    return value, any(f.outer_edges == 0 for f in s.faces)
+    faces = found[1]
+    n = g.n
+    value = 2 ** (n - len(faces) - 1)
+    for positions, outer in faces:
+        k = len(positions)
+        assert outer == sum((positions[i] - positions[i - 1]) % n in (1, n - 1) for i in range(k))
+        value *= k
+    return value, any(outer == 0 for _, outer in faces)
 
 
 def test_block_value_matches_outer_structure():

